@@ -14,10 +14,23 @@ Policies are pure ordering/eligibility logic; the simulator owns placement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.scheduler.job import Job, JobType
 from repro.scheduler.queue import JobQueue
 from repro.sim.fastpath import fast_path_enabled
+
+#: priority class per job type (lower runs first); every policy instance
+#: starts from its own copy
+DEFAULT_PRIORITIES: Mapping[JobType, int] = MappingProxyType({
+    JobType.PRETRAIN: 0,
+    JobType.SFT: 1,
+    JobType.MLLM: 1,
+    JobType.DEBUG: 2,
+    JobType.OTHER: 2,
+    JobType.EVALUATION: 3,
+})
 
 
 @dataclass(frozen=True)
@@ -31,17 +44,28 @@ class Candidate:
 class SchedulingPolicy:
     """Base policy interface.
 
-    ``candidates(queue, limit)`` returns jobs to attempt in priority
-    order; ``limit`` (the simulator's backfill depth) bounds how many
-    the caller will look at, which lets fast-path implementations stop
-    early instead of ordering the entire queue on every scheduling
-    round.  ``limit=None`` returns the full ordering.
+    ``ordered(queue, limit)`` returns the jobs to attempt in priority
+    order and ``pool_of(job)`` the pool each may draw from.  ``limit``
+    (the simulator's backfill depth) bounds how many jobs the caller
+    will look at, which lets fast-path implementations stop early
+    instead of ordering the entire queue on every scheduling round;
+    ``limit=None`` returns the full ordering.
     """
+
+    def ordered(self, queue: JobQueue,
+                limit: int | None = None) -> list[Job]:
+        """Jobs to attempt, in priority order."""
+        raise NotImplementedError
+
+    def pool_of(self, job: Job) -> str:
+        """The pool ``job`` may draw from ("reserved" or "shared")."""
+        return "shared"
 
     def candidates(self, queue: JobQueue,
                    limit: int | None = None) -> list[Candidate]:
-        """Jobs to attempt, in priority order."""
-        raise NotImplementedError
+        """Jobs to attempt, in priority order, tagged with their pool."""
+        return [Candidate(job, self.pool_of(job))
+                for job in self.ordered(queue, limit)]
 
 
 class FifoPolicy(SchedulingPolicy):
@@ -51,17 +75,15 @@ class FifoPolicy(SchedulingPolicy):
     head block everyone behind them.
     """
 
-    def candidates(self, queue: JobQueue,
-                   limit: int | None = None) -> list[Candidate]:
+    def ordered(self, queue: JobQueue,
+                limit: int | None = None) -> list[Job]:
         """Jobs to attempt, in priority order."""
         jobs = queue.pending()
-        if limit is not None:
-            jobs = jobs[:limit]
-        return [Candidate(job, "shared") for job in jobs]
+        return jobs if limit is None else jobs[:limit]
 
 
-def _ordered_head(policy: "PriorityPolicy | ReservationPolicy",
-                  queue: JobQueue, limit: int | None) -> list[Job]:
+def _ordered_head(policy: "PriorityPolicy", queue: JobQueue,
+                  limit: int | None) -> list[Job]:
     """First ``limit`` pending jobs in (priority class, arrival) order.
 
     Fast path: the queue's incremental bucket index, O(limit).
@@ -87,28 +109,21 @@ class PriorityPolicy(SchedulingPolicy):
     Lower number = higher priority.
     """
 
-    priorities: dict[JobType, int] = field(default_factory=lambda: {
-        JobType.PRETRAIN: 0,
-        JobType.SFT: 1,
-        JobType.MLLM: 1,
-        JobType.DEBUG: 2,
-        JobType.OTHER: 2,
-        JobType.EVALUATION: 3,
-    })
+    priorities: dict[JobType, int] = field(
+        default_factory=lambda: dict(DEFAULT_PRIORITIES))
 
     def priority_of(self, job: Job) -> int:
         """Priority class of a job (lower runs first)."""
         return self.priorities.get(job.job_type, 2)
 
-    def candidates(self, queue: JobQueue,
-                   limit: int | None = None) -> list[Candidate]:
+    def ordered(self, queue: JobQueue,
+                limit: int | None = None) -> list[Job]:
         """Jobs to attempt, in priority order."""
-        return [Candidate(job, "shared")
-                for job in _ordered_head(self, queue, limit)]
+        return _ordered_head(self, queue, limit)
 
 
 @dataclass
-class ReservationPolicy(SchedulingPolicy):
+class ReservationPolicy(PriorityPolicy):
     """Quota reservation for pretraining + best-effort for the rest.
 
     Pretraining (and optionally SFT/MLLM) jobs may draw from both the
@@ -120,23 +135,8 @@ class ReservationPolicy(SchedulingPolicy):
     #: best-effort work is confined to the spare pool (§2.2/§3.2)
     reserved_types: frozenset[JobType] = frozenset(
         {JobType.PRETRAIN, JobType.SFT, JobType.MLLM})
-    priorities: dict[JobType, int] = field(default_factory=lambda: {
-        JobType.PRETRAIN: 0,
-        JobType.SFT: 1,
-        JobType.MLLM: 1,
-        JobType.DEBUG: 2,
-        JobType.OTHER: 2,
-        JobType.EVALUATION: 3,
-    })
 
-    def priority_of(self, job: Job) -> int:
-        """Priority class of a job (lower runs first)."""
-        return self.priorities.get(job.job_type, 2)
-
-    def candidates(self, queue: JobQueue,
-                   limit: int | None = None) -> list[Candidate]:
-        """Jobs to attempt, in priority order."""
-        reserved = self.reserved_types
-        return [Candidate(job, "reserved" if job.job_type in reserved
-                          else "shared")
-                for job in _ordered_head(self, queue, limit)]
+    def pool_of(self, job: Job) -> str:
+        """The pool ``job`` may draw from ("reserved" or "shared")."""
+        return "reserved" if job.job_type in self.reserved_types \
+            else "shared"

@@ -16,6 +16,10 @@ Two structures back the queue:
   arrival order, which is exactly what the stable
   ``sorted(..., key=(priority, index))`` of the reference path yields —
   the fast-vs-reference equivalence tests pin this.
+
+The queue also keeps each job's ``repr((job_id, gpu_demand))``, made
+once at push, so the scheduler's state digest joins cached text rather
+than re-repring the whole queue on every call.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ class JobQueue:
 
     def __init__(self) -> None:
         self._jobs: dict[str, Job] = {}
+        #: ``repr((job_id, gpu_demand))`` per queued job, in queue order
+        self._fragments: dict[str, str] = {}
         #: priority classifier backing the bucket index (None = unbuilt)
         self._priority_fn: Callable[[Job], int] | None = None
         self._buckets: dict[int, dict[str, Job]] = {}
@@ -39,6 +45,7 @@ class JobQueue:
         if job.job_id in self._jobs:
             raise ValueError(f"job {job.job_id} already queued")
         self._jobs[job.job_id] = job
+        self._fragments[job.job_id] = repr((job.job_id, job.gpu_demand))
         if self._priority_fn is not None:
             bucket = self._buckets.setdefault(self._priority_fn(job), {})
             bucket[job.job_id] = job
@@ -54,6 +61,7 @@ class JobQueue:
         queued = self._jobs.pop(job.job_id, None)
         if queued is None:
             raise ValueError(f"job {job.job_id} is not queued")
+        del self._fragments[queued.job_id]
         if self._priority_fn is not None:
             self._buckets[self._priority_fn(queued)].pop(queued.job_id,
                                                          None)
@@ -128,3 +136,14 @@ class JobQueue:
     def get(self, job_id: str) -> Job | None:
         """The queued job with ``job_id``, or None."""
         return self._jobs.get(job_id)
+
+    def demands_repr(self) -> str:
+        """``repr(tuple((job.job_id, job.gpu_demand) for job in queue))``.
+
+        Joined from the fragments cached at push time; the text is the
+        tuple's repr exactly: ``()``, ``(x,)``, ``(x, y, ...)``.
+        """
+        fragments = self._fragments.values()
+        if len(fragments) == 1:
+            return f"({next(iter(fragments))},)"
+        return f"({', '.join(fragments)})"

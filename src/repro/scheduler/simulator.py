@@ -95,6 +95,10 @@ class SchedulerSimulator:
         #: and the property recomputes a round() on every access
         self._shared_capacity = config.shared_gpus
         self._allocations: dict[str, _Allocation] = {}
+        #: reserved GPUs held by shared-pool allocations (borrowers),
+        #: kept as a running total so a blocked reserved-pool candidate
+        #: learns in O(1) whether eviction could make room
+        self._borrowed = 0
         self.started: list[Job] = []
         self.finished: list[Job] = []
         #: queued jobs withdrawn by load shedding (never ran)
@@ -160,9 +164,7 @@ class SchedulerSimulator:
         if reason is not None:
             job.failure_reason = reason
         job.mark_finished(self.engine.now)
-        self.free_reserved += allocation.from_reserved
-        self.free_shared += allocation.from_shared
-        self._apply_pending_cordon()
+        self._release(allocation)
         self.finished.append(job)
         self._end_run_span(job, "fail")
         self._record_occupancy()
@@ -268,10 +270,7 @@ class SchedulerSimulator:
 
     def _on_finish(self, job: Job) -> None:
         job.mark_finished(self.engine.now)
-        allocation = self._allocations.pop(job.job_id)
-        self.free_reserved += allocation.from_reserved
-        self.free_shared += allocation.from_shared
-        self._apply_pending_cordon()
+        self._release(self._allocations.pop(job.job_id))
         self.finished.append(job)
         self._end_run_span(job, "finish")
         self._record_occupancy()
@@ -286,26 +285,35 @@ class SchedulerSimulator:
     # -- scheduling core ------------------------------------------------------
 
     def _try_schedule(self) -> None:
-        progress = True
-        depth = self.config.backfill_depth
-        while progress:
-            progress = False
-            candidates = self.policy.candidates(self.queue, limit=depth)
-            for candidate in candidates:
-                allocation = self._fit(candidate.job.gpu_demand,
-                                       candidate.pool)
+        """Start queued jobs until a pass over the window starts none.
+
+        Each pass fixes its window (the policy's first
+        ``backfill_depth`` jobs) before the first fit attempt, so jobs
+        an eviction puts back in the queue wait for the next pass.
+        """
+        config, policy, queue = self.config, self.policy, self.queue
+        preempt = config.preempt_borrowers
+        while queue:
+            # Capacity gate, exact: every queued job demands >= 1 GPU,
+            # so with both pools empty ``_fit`` fails for any demand and
+            # pool, and without an evictable borrower nothing can start.
+            if (self.free_reserved + self.free_shared == 0
+                    and not (preempt and self._borrowed)):
+                return
+            for job in policy.ordered(queue, config.backfill_depth):
+                pool = policy.pool_of(job)
+                demand = job.gpu_demand
+                allocation = self._fit(demand, pool)
                 if allocation is None:
-                    if (candidate.pool == "reserved"
-                            and self.config.preempt_borrowers
-                            and self._evict_borrowers_for(
-                                candidate.job.gpu_demand)):
-                        allocation = self._fit(candidate.job.gpu_demand,
-                                               "reserved")
+                    if (pool == "reserved" and preempt
+                            and self._evict_borrowers_for(demand)):
+                        allocation = self._fit(demand, "reserved")
                     if allocation is None:
                         continue
-                self._start(candidate.job, allocation, candidate.pool)
-                progress = True
+                self._start(job, allocation, pool)
                 break  # re-evaluate priorities after every start
+            else:
+                return
 
     def _evict_borrowers_for(self, demand: int) -> bool:
         """Preempt best-effort jobs holding reserved GPUs until
@@ -316,18 +324,15 @@ class SchedulerSimulator:
         scratch — the "considerable recovery overhead" that makes
         preemption unattractive for LLM workloads (§3.1).
         """
+        if not self._borrowed or demand > (
+                self.free_reserved + self._borrowed
+                + (self.free_shared
+                   if self.config.reserved_spillover else 0)):
+            return False
         borrowers = [allocation for allocation in
                      self._allocations.values()
                      if allocation.pool == "shared"
                      and allocation.from_reserved > 0]
-        if not borrowers:
-            return False
-        reclaimable = sum(a.from_reserved for a in borrowers)
-        available = (self.free_reserved + reclaimable
-                     + (self.free_shared
-                        if self.config.reserved_spillover else 0))
-        if demand > available:
-            return False
         borrowers.sort(key=lambda a: a.job.start_time or 0.0,
                        reverse=True)
         for allocation in borrowers:
@@ -343,9 +348,7 @@ class SchedulerSimulator:
         if allocation.finish_item is not None:
             self.engine.cancel(allocation.finish_item)
         del self._allocations[job.job_id]
-        self.free_reserved += allocation.from_reserved
-        self.free_shared += allocation.from_shared
-        self._apply_pending_cordon()
+        self._release(allocation)
         job.mark_preempted(self.engine.now)
         self.preemptions += 1
         self.queue.push(job)
@@ -355,6 +358,14 @@ class SchedulerSimulator:
             job_type=job.job_type.value, gpus=job.gpu_demand)
         self._record_occupancy()
         self._notify("preempt", job)
+
+    def _release(self, allocation: _Allocation) -> None:
+        """Return an ended allocation's GPUs to the pools."""
+        self.free_reserved += allocation.from_reserved
+        self.free_shared += allocation.from_shared
+        if allocation.pool == "shared":
+            self._borrowed -= allocation.from_reserved
+        self._apply_pending_cordon()
 
     def _fit(self, demand: int, pool: str) -> _Allocation | None:
         if pool == "reserved":
@@ -385,6 +396,8 @@ class SchedulerSimulator:
         self.free_shared -= allocation.from_shared
         allocation.pool = pool
         allocation.job = job
+        if pool == "shared":
+            self._borrowed += allocation.from_reserved
         self._allocations[job.job_id] = allocation
         job.mark_started(self.engine.now)
         self.started.append(job)
@@ -419,14 +432,17 @@ class SchedulerSimulator:
         replay restore can prove the rebuilt scheduler is equivalent,
         without trying to serialize live ``Job``/callback objects.
         """
-        queued = tuple((job.job_id, job.gpu_demand) for job in self.queue)
         allocations = tuple(sorted(
             (job_id, alloc.from_reserved, alloc.from_shared, alloc.pool)
             for job_id, alloc in self._allocations.items()))
-        canonical = repr((
-            queued, allocations, self.free_reserved, self.free_shared,
+        # the repr of the tuple (queued, allocations, ...), with the
+        # queue's part joined from its cached per-job text
+        fields = (
+            allocations, self.free_reserved, self.free_shared,
             self.cordoned_gpus, self._pending_cordon, self.preemptions,
-            len(self.started), len(self.finished), len(self.shed)))
+            len(self.started), len(self.finished), len(self.shed))
+        canonical = (f"({self.queue.demands_repr()}, "
+                     f"{', '.join(map(repr, fields))})")
         return f"{zlib.crc32(canonical.encode('utf-8')):08x}"
 
     def gpu_seconds_used(self) -> float:
