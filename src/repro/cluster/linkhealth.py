@@ -33,8 +33,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.sim.fastpath import fast_path_enabled
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.fattree import FatTreeConfig
 
@@ -166,15 +164,12 @@ class LinkHealth:
         1.0 when healthy; the minimum factor across overlapping
         windows otherwise (a down window dominates a degraded one).
 
-        Fast path: a lazily built piecewise-constant timeline per link
-        answered by bisect, fronted by a bounded ``(link, at)`` memo —
-        chaos storms query the same (link, time) pairs repeatedly from
-        rate recomputation.  The timeline is exactly equivalent to the
-        window scan (:meth:`_factor_scan`): the factor is constant
-        between consecutive window boundaries.
+        Answered from a lazily built piecewise-constant timeline per
+        link by bisect, fronted by a bounded ``(link, at)`` memo — chaos
+        storms query the same (link, time) pairs repeatedly from rate
+        recomputation.  The timeline equals a scan over every window:
+        the factor is constant between consecutive window boundaries.
         """
-        if not fast_path_enabled():
-            return self._factor_scan(link, at)
         key = (link, at)
         cached = self._memo.get(key)
         if cached is not None:
@@ -190,14 +185,6 @@ class LinkHealth:
             self._memo.clear()
         self._memo[key] = result
         return result
-
-    def _factor_scan(self, link: str, at: float) -> float:
-        """Reference linear scan over all fault windows."""
-        factor = 1.0
-        for fault in self._faults:
-            if fault.link == link and fault.active_at(at):
-                factor = min(factor, fault.factor)
-        return factor
 
     def _build_timeline(self, link: str
                         ) -> tuple[list[float], list[float]]:

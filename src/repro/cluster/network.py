@@ -10,18 +10,12 @@ The model is analytic (progressive filling) rather than packet-level: the
 paper's observations are about steady-state throughput, not transport
 dynamics.
 
-Two implementations back :func:`max_min_fair_rates`:
-
-* :func:`max_min_fair_rates_scalar` — the original pure-python
-  progressive filling, kept bit-for-bit as the reference path;
-* a numpy-vectorized filling over the flow/link incidence matrix, used
-  on the fast path once the flow count justifies the array setup cost.
-
-Both run the same algorithm; results agree to float-summation noise
-(≤1e-9 relative), which the property tests in
-``tests/test_network_properties.py`` pin.  Small flow sets additionally
-hit a bounded result cache keyed by the used-link capacities and flow
-tuples — the model-loading stress test asks for the same handful of
+:func:`max_min_fair_rates` runs the filling in pure python for small
+flow sets and as numpy array ops over the flow/link incidence matrix
+once the flow count justifies the array setup cost; both agree to
+float-summation noise (≤1e-9 relative).  Small flow sets also hit a
+bounded result cache keyed by the used-link capacities and flow tuples
+— the model-loading stress test asks for the same handful of
 configurations thousands of times per run.
 """
 
@@ -33,7 +27,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.cluster.linkhealth import LinkHealth
-from repro.sim.fastpath import fast_path_enabled
 
 
 @dataclass(frozen=True)
@@ -90,15 +83,12 @@ def max_min_fair_rates(links: dict[str, float],
     :class:`~repro.cluster.linkhealth.LinkHealth` overlay) pins every
     flow crossing it to rate 0.
 
-    Dispatches to a numpy filling for large flow sets on the fast path
-    and memoizes small flow sets; with the fast path off this *is*
-    :func:`max_min_fair_rates_scalar`.
+    Flow sets of at least ``_VECTOR_MIN_FLOWS`` flows are filled with
+    numpy; smaller ones are filled in pure python and memoized.
 
     Returns a mapping flow_id -> bytes/s.
     """
     _validate_links(links, flows)
-    if not fast_path_enabled():
-        return _fill_scalar(links, flows)
     if len(flows) >= _VECTOR_MIN_FLOWS:
         return _fill_vector(links, flows)
     used = sorted({link for flow in flows for link in flow.links})
@@ -113,17 +103,6 @@ def max_min_fair_rates(links: dict[str, float],
         _rate_cache.clear()
     _rate_cache[key] = dict(rates)
     return rates
-
-
-def max_min_fair_rates_scalar(links: dict[str, float],
-                              flows: Sequence[Flow]) -> dict[str, float]:
-    """Reference progressive filling (pure python, no cache).
-
-    The behaviour every optimized path must reproduce; the property
-    tests compare the vectorized filling against this function.
-    """
-    _validate_links(links, flows)
-    return _fill_scalar(links, flows)
 
 
 def _fill_scalar(links: dict[str, float],

@@ -30,7 +30,6 @@ from repro.devtools.lint.findings import RULES, Finding
 from repro.devtools.lint.fixes import FIXABLE_CODES, apply_fixes
 from repro.devtools.lint.project import (ProjectChecker, ProjectIndex,
                                          run_project_checkers)
-from repro.devtools.lint.sarif import render_sarif
 from repro.devtools.lint.walker import Checker, run_checkers
 
 DEFAULT_BASELINE = Path("tools") / "reprolint_baseline.json"
@@ -219,7 +218,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Install reprolint's flags on a (sub)parser."""
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories (default: src)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text")
     parser.add_argument("--baseline", default=None,
                         help=f"baseline JSON (default: "
@@ -313,8 +312,6 @@ def main(args: argparse.Namespace,
     result = run_lint(args.paths, config, baseline=baseline)
     if args.format == "json":
         render_json(result, stream)
-    elif args.format == "sarif":
-        render_sarif(result, stream)
     else:
         render_text(result, stream)
     return result.exit_code

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.obs import NULL_TRACER, TracerLike
 from repro.scheduler.job import JobType
-from repro.sim.fastpath import fast_path_enabled
 from repro.workload.trace import Trace
 
 
@@ -130,28 +129,17 @@ class DcgmSampler:
     def metric_arrays(self, n: int) -> dict[str, np.ndarray]:
         """Arrays over busy *and* idle samples for CDF analysis.
 
-        Fast path: all ``n`` polls are drawn as vectorized batches (one
-        array op per distribution per workload type) instead of ``n``
-        sequential :meth:`sample` calls.  The draws consume the RNG
-        stream in a different order, so individual values differ from
-        the sequential path — but each metric follows the *same*
+        All ``n`` polls are drawn as vectorized batches (one array op
+        per distribution per workload type) rather than ``n``
+        :meth:`sample` calls.  The batches consume the RNG stream in a
+        different order, so individual values differ from
+        :meth:`sample_many` — but each metric follows the *same*
         distribution, which is all the CDF figures and the calibration
-        tests assert (statistical equivalence, pinned by
-        ``tests/test_monitor.py``).
+        tests assert (pinned by ``tests/test_monitor.py``).
         """
         if n <= 0:
             raise ValueError("n must be positive")
         self.tracer.count("monitor.dcgm.metric_arrays", 1.0)
-        if not fast_path_enabled():
-            samples = self.sample_many(n)
-            return {
-                "gpu_utilization": np.array([s.gpu_utilization
-                                             for s in samples]),
-                "sm_activity": np.array([s.sm_activity for s in samples]),
-                "tc_activity": np.array([s.tc_activity for s in samples]),
-                "memory_fraction": np.array([s.memory_used_fraction
-                                             for s in samples]),
-            }
         rng = self.rng
         idle = rng.uniform(size=n) < self.idle_fraction
         n_idle = int(idle.sum())

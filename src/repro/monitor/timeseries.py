@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.scheduler.simulator import SchedulerSimulator
-from repro.sim.fastpath import fast_path_enabled
 
 SAMPLE_INTERVAL = 15.0  # §2.3: 15-second sampling
 
@@ -92,18 +91,11 @@ class UtilizationSeries:
         if self.times.size == 0:
             return np.zeros(24)
         hours = ((self.times % 86400.0) / 3600.0).astype(int)
-        if fast_path_enabled():
-            counts = np.bincount(hours, minlength=24)[:24]
-            sums = np.bincount(hours, weights=self.allocation,
-                               minlength=24)[:24]
-            return np.divide(sums, counts, out=np.zeros(24),
-                             where=counts > 0)
-        profile = np.zeros(24)
-        for hour in range(24):
-            mask = hours == hour
-            profile[hour] = (float(self.allocation[mask].mean())
-                             if mask.any() else 0.0)
-        return profile
+        counts = np.bincount(hours, minlength=24)[:24]
+        sums = np.bincount(hours, weights=self.allocation,
+                           minlength=24)[:24]
+        return np.divide(sums, counts, out=np.zeros(24),
+                         where=counts > 0)
 
     def busiest_hour(self) -> int:
         """Hour of day with the highest mean allocation."""
@@ -119,42 +111,28 @@ def record_cluster_utilization(simulator: SchedulerSimulator,
     this resamples it onto a regular grid (a coarser default interval
     keeps week-long replays small).
 
-    Fast path: the occupancy log goes straight into numpy arrays and
-    through the same resampling arithmetic as
-    :meth:`MetricStore.resample`, skipping the per-point python store —
-    a 1M-job replay logs millions of occupancy points.  The monotonic
-    skip is replicated exactly: a point survives iff its timestamp is
-    >= the running maximum of all earlier timestamps (the first
-    occurrence of each new maximum is always kept, so the last kept
-    timestamp *is* that running maximum).
+    The occupancy log goes straight into numpy arrays and through the
+    same resampling arithmetic as :meth:`MetricStore.resample` — a
+    1M-job replay logs millions of occupancy points.  Out-of-order
+    points are skipped: a point survives iff its timestamp is >= the
+    running maximum of all earlier timestamps (and >= 0).
     """
     total = simulator.config.total_gpus
     if not simulator.occupancy:
         return UtilizationSeries(np.empty(0), np.empty(0), total)
-    if fast_path_enabled():
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        points = np.asarray(simulator.occupancy, dtype=float)
-        times = points[:, 0]
-        floor = np.maximum.accumulate(np.concatenate(([0.0], times[:-1])))
-        keep = times >= floor
-        times = times[keep]
-        values = points[:, 1][keep]
-        if times.size == 0:
-            return UtilizationSeries(np.empty(0), np.empty(0), total)
-        grid = np.arange(times[0], times[-1] + interval / 2, interval)
-        indices = np.searchsorted(times, grid, side="right") - 1
-        indices = np.clip(indices, 0, times.size - 1)
-        return UtilizationSeries(times=grid,
-                                 allocation=values[indices] / total,
-                                 total_gpus=total)
-    store = MetricStore()
-    last = 0.0
-    for timestamp, gpus in simulator.occupancy:
-        if timestamp < last:
-            continue  # defensive: occupancy is appended in time order
-        store.append("gpus_in_use", timestamp, gpus)
-        last = timestamp
-    times, values = store.resample("gpus_in_use", interval=interval)
-    return UtilizationSeries(times=times, allocation=values / total,
+    if interval <= 0:
+        raise ValueError("interval must be positive")
+    points = np.asarray(simulator.occupancy, dtype=float)
+    times = points[:, 0]
+    floor = np.maximum.accumulate(np.concatenate(([0.0], times[:-1])))
+    keep = times >= floor
+    times = times[keep]
+    values = points[:, 1][keep]
+    if times.size == 0:
+        return UtilizationSeries(np.empty(0), np.empty(0), total)
+    grid = np.arange(times[0], times[-1] + interval / 2, interval)
+    indices = np.searchsorted(times, grid, side="right") - 1
+    indices = np.clip(indices, 0, times.size - 1)
+    return UtilizationSeries(times=grid,
+                             allocation=values[indices] / total,
                              total_gpus=total)

@@ -19,7 +19,6 @@ from typing import Mapping
 
 from repro.scheduler.job import Job, JobType
 from repro.scheduler.queue import JobQueue
-from repro.sim.fastpath import fast_path_enabled
 
 #: priority class per job type (lower runs first); every policy instance
 #: starts from its own copy
@@ -33,22 +32,14 @@ DEFAULT_PRIORITIES: Mapping[JobType, int] = MappingProxyType({
 })
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A job the policy wants started, tagged with the pool it may use."""
-
-    job: Job
-    pool: str  # "reserved" or "shared"
-
-
 class SchedulingPolicy:
     """Base policy interface.
 
     ``ordered(queue, limit)`` returns the jobs to attempt in priority
     order and ``pool_of(job)`` the pool each may draw from.  ``limit``
     (the simulator's backfill depth) bounds how many jobs the caller
-    will look at, which lets fast-path implementations stop early
-    instead of ordering the entire queue on every scheduling round;
+    will look at, which lets an implementation stop early instead of
+    ordering the entire queue on every scheduling round;
     ``limit=None`` returns the full ordering.
     """
 
@@ -60,12 +51,6 @@ class SchedulingPolicy:
     def pool_of(self, job: Job) -> str:
         """The pool ``job`` may draw from ("reserved" or "shared")."""
         return "shared"
-
-    def candidates(self, queue: JobQueue,
-                   limit: int | None = None) -> list[Candidate]:
-        """Jobs to attempt, in priority order, tagged with their pool."""
-        return [Candidate(job, self.pool_of(job))
-                for job in self.ordered(queue, limit)]
 
 
 class FifoPolicy(SchedulingPolicy):
@@ -80,26 +65,6 @@ class FifoPolicy(SchedulingPolicy):
         """Jobs to attempt, in priority order."""
         jobs = queue.pending()
         return jobs if limit is None else jobs[:limit]
-
-
-def _ordered_head(policy: "PriorityPolicy", queue: JobQueue,
-                  limit: int | None) -> list[Job]:
-    """First ``limit`` pending jobs in (priority class, arrival) order.
-
-    Fast path: the queue's incremental bucket index, O(limit).
-    Reference path: stable sort of the whole queue by (class, position)
-    — the original implementation, kept bit-for-bit for equivalence
-    testing.  Both orders are identical by construction (within a
-    class, bucket order *is* arrival order).
-    """
-    if limit is not None and fast_path_enabled():
-        queue.ensure_priority_index(policy.priority_of)
-        return queue.head_by_priority(limit)
-    ordered = sorted(enumerate(queue.pending()),
-                     key=lambda pair: (policy.priority_of(pair[1]),
-                                       pair[0]))
-    jobs = [job for _, job in ordered]
-    return jobs if limit is None else jobs[:limit]
 
 
 @dataclass
@@ -118,8 +83,13 @@ class PriorityPolicy(SchedulingPolicy):
 
     def ordered(self, queue: JobQueue,
                 limit: int | None = None) -> list[Job]:
-        """Jobs to attempt, in priority order."""
-        return _ordered_head(self, queue, limit)
+        """First ``limit`` jobs in (priority class, arrival) order.
+
+        Read from the queue's incremental bucket index in O(limit)
+        rather than by sorting the whole queue every round.
+        """
+        queue.ensure_priority_index(self.priority_of)
+        return queue.head_by_priority(limit)
 
 
 @dataclass

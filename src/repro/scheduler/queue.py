@@ -13,9 +13,8 @@ Two structures back the queue:
   maintained incrementally, so a policy can take the first *k*
   candidates in (priority, arrival) order without re-sorting the whole
   queue on every scheduling round.  Within a class, bucket order equals
-  arrival order, which is exactly what the stable
-  ``sorted(..., key=(priority, index))`` of the reference path yields —
-  the fast-vs-reference equivalence tests pin this.
+  arrival order, so the head is exactly what a stable
+  ``sorted(..., key=(priority, index))`` of the whole queue yields.
 
 The queue also keeps each job's ``repr((job_id, gpu_demand))``, made
 once at push, so the scheduler's state digest joins cached text rather
@@ -83,25 +82,23 @@ class JobQueue:
             self._buckets.setdefault(priority_fn(job), {})[job.job_id] \
                 = job
 
-    def head_by_priority(self, limit: int) -> list[Job]:
+    def head_by_priority(self, limit: int | None) -> list[Job]:
         """First ``limit`` jobs in (priority class, arrival) order.
 
         Requires :meth:`ensure_priority_index`.  Equivalent to sorting
         all pending jobs stably by priority class and slicing — without
-        touching jobs beyond the first ``limit``.
+        touching jobs beyond the first ``limit``.  ``limit=None``
+        returns every pending job; ``limit=0`` returns none.
         """
         if self._priority_fn is None:
             raise RuntimeError("priority index not built; call "
                                "ensure_priority_index first")
         out: list[Job] = []
         for priority in sorted(self._buckets):
-            bucket = self._buckets[priority]
-            if not bucket:
-                continue
-            for job in bucket.values():
-                out.append(job)
-                if len(out) >= limit:
+            for job in self._buckets[priority].values():
+                if len(out) == limit:
                     return out
+                out.append(job)
         return out
 
     # -- views -------------------------------------------------------------

@@ -51,6 +51,8 @@ class SchedulerConfig:
             raise ValueError("total_gpus must be positive")
         if not 0.0 <= self.reserved_fraction <= 1.0:
             raise ValueError("reserved_fraction must be in [0, 1]")
+        if self.backfill_depth < 1:
+            raise ValueError("backfill_depth must be at least 1")
 
     @property
     def reserved_gpus(self) -> int:

@@ -27,7 +27,7 @@ then verifies structurally before the service resumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.chaos.harness import ChaosHarness, ChaosResult
@@ -97,25 +97,7 @@ class ServiceGauges:
     admission_digest: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "now": self.now,
-            "queue_depth": self.queue_depth,
-            "gpus_busy": self.gpus_busy,
-            "pending_events": self.pending_events,
-            "fault_backlog": self.fault_backlog,
-            "jobs_submitted": self.jobs_submitted,
-            "jobs_finished": self.jobs_finished,
-            "pretrain_iteration": self.pretrain_iteration,
-            "events_processed": self.events_processed,
-            "engine_digest": self.engine_digest,
-            "scheduler_digest": self.scheduler_digest,
-            "overload_state": self.overload_state,
-            "jobs_rejected": self.jobs_rejected,
-            "jobs_shed": self.jobs_shed,
-            "chains_deferred": self.chains_deferred,
-            "queue_depth_peak": self.queue_depth_peak,
-            "admission_digest": self.admission_digest,
-        }
+        return asdict(self)
 
 
 class ClusterService:

@@ -1,10 +1,10 @@
-"""Reference versions of the scheduler's round loop, eviction and digest.
+"""Reference versions of the scheduler's hot paths.
 
 ``ReferenceSchedulerSimulator`` keeps the straightforward versions of
-the scheduler's three hot paths:
+three of them:
 
-* ``_try_schedule`` builds the policy's full candidate list on every
-  pass, whether or not any GPU is free;
+* ``_try_schedule`` pairs every job in the policy's window with its
+  pool on every pass, whether or not any GPU is free;
 * ``_evict_borrowers_for`` rescans every allocation for borrowers on
   every blocked reserved-pool candidate;
 * ``state_digest`` reprs the whole queue as one tuple.
@@ -12,13 +12,30 @@ the scheduler's three hot paths:
 Everything else (start, finish, preemption, cordons, fault injection)
 is inherited, so a side-by-side run against ``SchedulerSimulator``
 isolates exactly these three methods.
+
+``ordered_by_sort`` is the reference ``PriorityPolicy.ordered``: a
+stable sort of the whole queue by (priority class, arrival), where
+production reads the queue's incremental priority buckets.
 """
 
 from __future__ import annotations
 
 import zlib
 
+from repro.scheduler.job import Job
+from repro.scheduler.policy import PriorityPolicy
+from repro.scheduler.queue import JobQueue
 from repro.scheduler.simulator import SchedulerSimulator
+
+
+def ordered_by_sort(policy: PriorityPolicy, queue: JobQueue,
+                    limit: int | None = None) -> list[Job]:
+    """First ``limit`` jobs of the stably sorted queue."""
+    ordered = sorted(enumerate(queue.pending()),
+                     key=lambda pair: (policy.priority_of(pair[1]),
+                                       pair[0]))
+    jobs = [job for _, job in ordered]
+    return jobs if limit is None else jobs[:limit]
 
 
 class ReferenceSchedulerSimulator(SchedulerSimulator):
@@ -29,20 +46,19 @@ class ReferenceSchedulerSimulator(SchedulerSimulator):
         depth = self.config.backfill_depth
         while progress:
             progress = False
-            candidates = self.policy.candidates(self.queue, limit=depth)
-            for candidate in candidates:
-                allocation = self._fit(candidate.job.gpu_demand,
-                                       candidate.pool)
+            candidates = [(job, self.policy.pool_of(job)) for job
+                          in self.policy.ordered(self.queue, depth)]
+            for job, pool in candidates:
+                allocation = self._fit(job.gpu_demand, pool)
                 if allocation is None:
-                    if (candidate.pool == "reserved"
+                    if (pool == "reserved"
                             and self.config.preempt_borrowers
                             and self._evict_borrowers_for(
-                                candidate.job.gpu_demand)):
-                        allocation = self._fit(candidate.job.gpu_demand,
-                                               "reserved")
+                                job.gpu_demand)):
+                        allocation = self._fit(job.gpu_demand, "reserved")
                     if allocation is None:
                         continue
-                self._start(candidate.job, allocation, candidate.pool)
+                self._start(job, allocation, pool)
                 progress = True
                 break  # re-evaluate priorities after every start
 

@@ -23,7 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.chaos import BUNDLED_SCENARIOS, run_scenario
-from repro.sim.fastpath import use_fast_path
+
+from .oracles import substitute
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDENS = {
@@ -32,9 +33,10 @@ GOLDENS = {
     "network-storm": DATA_DIR / "chaos_network_storm_golden.json",
     "straggler-storm": DATA_DIR / "chaos_straggler_storm_golden.json",
 }
-#: every golden must hold bit-for-bit under BOTH implementations —
-#: the optimized fast path (the default) and the reference path
-FAST_PATH = [True, False]
+#: every golden must hold bit-for-bit on the production code ("fast")
+#: and with the oracles in tests/oracles/ swapped in ("reference")
+ORACLES = pytest.mark.parametrize("oracles", [False, True],
+                                  ids=["fast", "reference"])
 
 
 def regen_hint(scenario):
@@ -43,23 +45,24 @@ def regen_hint(scenario):
             f"tests/data/{GOLDENS[scenario].name}")
 
 
-def current_payload(scenario, fast=True):
-    with use_fast_path(fast):
+def current_payload(scenario, oracles=False):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if oracles:
+            substitute(monkeypatch)
         result = run_scenario(BUNDLED_SCENARIOS[scenario])
     return {"summary": json.loads(result.summary.to_json()),
             "event_log": result.event_log_lines()}
 
 
-@pytest.mark.parametrize("fast", FAST_PATH,
-                         ids=["fast", "reference"])
+@ORACLES
 @pytest.mark.parametrize("scenario", sorted(GOLDENS))
-def test_event_log_matches_golden(scenario, fast):
+def test_event_log_matches_golden(scenario, oracles):
     golden = json.loads(GOLDENS[scenario].read_text())
-    current = current_payload(scenario, fast)
+    current = current_payload(scenario, oracles)
     for line_no, (want, got) in enumerate(
             zip(golden["event_log"], current["event_log"]), start=1):
         assert want == got, (
-            f"event log drifted at line {line_no} (fast={fast}):\n"
+            f"event log drifted at line {line_no} (oracles={oracles}):\n"
             f"  golden:  {want}\n  current: {got}\n"
             f"{regen_hint(scenario)}")
     assert len(current["event_log"]) == len(golden["event_log"]), (
@@ -67,12 +70,11 @@ def test_event_log_matches_golden(scenario, fast):
         f"vs current {len(current['event_log'])}\n{regen_hint(scenario)}")
 
 
-@pytest.mark.parametrize("fast", FAST_PATH,
-                         ids=["fast", "reference"])
+@ORACLES
 @pytest.mark.parametrize("scenario", sorted(GOLDENS))
-def test_summary_matches_golden(scenario, fast):
+def test_summary_matches_golden(scenario, oracles):
     golden = json.loads(GOLDENS[scenario].read_text())["summary"]
-    current = current_payload(scenario, fast)["summary"]
+    current = current_payload(scenario, oracles)["summary"]
     drifted = sorted(key for key in golden.keys() | current.keys()
                      if golden.get(key) != current.get(key))
     assert not drifted, (

@@ -1,15 +1,16 @@
-"""Fast-vs-reference equivalence harness.
+"""Production-vs-oracle equivalence over every bundled scenario.
 
-The backbone guarantee of the fast path: for everything a run's
-artifacts observe — the event log, the summary, the full observability
-export — an optimized run is **byte-identical** to a reference run.
-``run_both`` executes one scenario under each path and returns both
-artifact bundles; every test is a straight ``==`` on strings.
+Each bundled chaos scenario runs twice, traced: once on the production
+code, and once with the oracles in ``tests/oracles/`` swapped in for
+the bodies they pin (``oracles.substitute``, a pytest ``monkeypatch``
+seam that exists only in tests).  For everything a run's artifacts
+observe — the event log, the summary, the full observability export,
+the engine's event count — the two runs must be **byte-identical**;
+every test is a straight ``==`` on strings.
 
-These tests catch what the golden fixtures alone cannot: a fast-path
-bug that changes behaviour *symmetrically* with a regenerated golden
-would slip through ``test_chaos_golden``, but never through a direct
-fast-vs-reference diff of the same build.
+These tests catch what the golden fixtures alone cannot: a change that
+drifts behaviour and is shipped with regenerated goldens still fails
+the direct diff against the oracles.
 """
 
 import json
@@ -18,21 +19,21 @@ import pytest
 
 from repro.chaos import BUNDLED_SCENARIOS
 from repro.chaos.harness import ChaosHarness
-from repro.cluster.network import clear_rate_cache
 from repro.obs import Tracer, chrome_trace_json
-from repro.sim.fastpath import fast_path_enabled, set_fast_path, use_fast_path
+
+from .oracles import substitute
 
 SCENARIOS = sorted(BUNDLED_SCENARIOS)
+#: scenarios whose fabric faults make the link-health lookup run
+LINK_HEALTH_SCENARIOS = {"network-storm", "partition-storm"}
 
 
-def run_traced(scenario_name, fast):
-    """One traced run under the given path; returns its artifacts."""
-    clear_rate_cache()
-    with use_fast_path(fast):
-        tracer = Tracer()
-        harness = ChaosHarness(BUNDLED_SCENARIOS[scenario_name],
-                               tracer=tracer)
-        result = harness.run()
+def run_traced(scenario_name):
+    """One traced run of a bundled scenario; returns its artifacts."""
+    tracer = Tracer()
+    harness = ChaosHarness(BUNDLED_SCENARIOS[scenario_name],
+                           tracer=tracer)
+    result = harness.run()
     return {
         "event_log": result.event_log_text(),
         "summary": result.summary.to_json(),
@@ -42,50 +43,56 @@ def run_traced(scenario_name, fast):
     }
 
 
-@pytest.fixture(params=SCENARIOS)
+@pytest.fixture(scope="module", params=SCENARIOS)
 def both_paths(request):
-    """(fast artifacts, reference artifacts) for one scenario."""
-    return (run_traced(request.param, fast=True),
-            run_traced(request.param, fast=False))
+    """(production artifacts, oracle artifacts) for one scenario."""
+    production = run_traced(request.param)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = substitute(monkeypatch)
+        oracle = run_traced(request.param)
+    oracle["oracle_calls"] = calls
+    return production, oracle
 
 
 def test_event_logs_byte_identical(both_paths):
-    fast, reference = both_paths
-    assert fast["event_log"] == reference["event_log"]
+    production, oracle = both_paths
+    assert production["event_log"] == oracle["event_log"]
 
 
 def test_summaries_byte_identical(both_paths):
-    fast, reference = both_paths
-    assert fast["summary"] == reference["summary"]
+    production, oracle = both_paths
+    assert production["summary"] == oracle["summary"]
 
 
 def test_obs_exports_byte_identical(both_paths):
     """The full Chrome-trace export (spans, counters, gauges) matches."""
-    fast, reference = both_paths
-    assert fast["chrome_trace"] == reference["chrome_trace"]
+    production, oracle = both_paths
+    assert production["chrome_trace"] == oracle["chrome_trace"]
 
 
 def test_same_event_count(both_paths):
-    """Both paths execute the exact same number of engine events."""
-    fast, reference = both_paths
-    assert fast["events_processed"] == reference["events_processed"]
-
-
-def test_switch_scoping_restores_previous_state():
-    assert fast_path_enabled()  # on by default
-    with use_fast_path(False):
-        assert not fast_path_enabled()
-        with use_fast_path(True):
-            assert fast_path_enabled()
-        assert not fast_path_enabled()
-    assert fast_path_enabled()
-    previous = set_fast_path(False)
-    assert previous is True
-    assert set_fast_path(previous) is False
-    assert fast_path_enabled()
+    """Both runs execute the exact same number of engine events."""
+    production, oracle = both_paths
+    assert production["events_processed"] == oracle["events_processed"]
 
 
 def test_chrome_trace_is_valid_json(both_paths):
-    fast, _ = both_paths
-    payload = json.loads(fast["chrome_trace"])
+    production, _ = both_paths
+    payload = json.loads(production["chrome_trace"])
     assert payload["traceEvents"]
+
+
+def test_oracle_run_went_through_the_oracles(request, both_paths):
+    """The seam is live: the oracle run really called the oracles.
+
+    Every scenario orders its queue and runs scheduling rounds; only
+    the fabric storms look up link health.  (No bundled scenario calls
+    the water-filling, so its equivalence rests on the property tests
+    in ``tests/test_network_properties.py``.)
+    """
+    scenario = request.node.callspec.params["both_paths"]
+    calls = both_paths[1]["oracle_calls"]
+    assert calls["PriorityPolicy.ordered"] > 0
+    assert calls["SchedulerSimulator._try_schedule"] > 0
+    assert (calls["LinkHealth.factor"] > 0) == (
+        scenario in LINK_HEALTH_SCENARIOS)

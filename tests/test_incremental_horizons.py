@@ -6,42 +6,45 @@ partitioning a run into horizons is *invisible*: the engine's ``until``
 stop never consumes a sequence number or perturbs the heap, so any
 sequence of cumulative ``advance`` calls must be event-for-event
 byte-identical to one batch run to the same final horizon — for every
-bundled scenario, under both the fast and reference paths.
+bundled scenario, on the production code ("fast") and with the oracles
+in ``tests/oracles/`` swapped in ("reference").
 """
 
 import pytest
 
 from repro.chaos import BUNDLED_SCENARIOS
 from repro.chaos.harness import ChaosHarness
-from repro.sim.fastpath import use_fast_path
+
+from .oracles import substitute
 
 SCENARIOS = sorted(BUNDLED_SCENARIOS)
-FAST_PATH = [True, False]
 
 
-def batch_run(name, fast):
-    with use_fast_path(fast):
-        return ChaosHarness(BUNDLED_SCENARIOS[name]).run()
+def batch_run(name):
+    return ChaosHarness(BUNDLED_SCENARIOS[name]).run()
 
 
-def incremental_run(name, fast, parts):
-    with use_fast_path(fast):
-        harness = ChaosHarness(BUNDLED_SCENARIOS[name])
-        duration = harness.scenario.duration
-        harness.start()
-        for part in range(1, parts + 1):
-            # exact final horizon; interior cuts at awkward fractions
-            until = (duration if part == parts
-                     else duration * part / parts)
-            harness.advance(until)
-        return harness.finish()
+def incremental_run(name, parts):
+    harness = ChaosHarness(BUNDLED_SCENARIOS[name])
+    duration = harness.scenario.duration
+    harness.start()
+    for part in range(1, parts + 1):
+        # exact final horizon; interior cuts at awkward fractions
+        until = (duration if part == parts
+                 else duration * part / parts)
+        harness.advance(until)
+    return harness.finish()
 
 
-@pytest.mark.parametrize("fast", FAST_PATH, ids=["fast", "reference"])
+@pytest.mark.parametrize("oracles", [False, True],
+                         ids=["fast", "reference"])
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_incremental_horizons_equal_batch_run(scenario, fast):
-    batch = batch_run(scenario, fast)
-    split = incremental_run(scenario, fast, parts=7)
+def test_incremental_horizons_equal_batch_run(scenario, oracles,
+                                              monkeypatch):
+    if oracles:
+        substitute(monkeypatch)
+    batch = batch_run(scenario)
+    split = incremental_run(scenario, parts=7)
     assert split.event_log_text() == batch.event_log_text()
     assert split.summary.to_json() == batch.summary.to_json()
 

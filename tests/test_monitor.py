@@ -215,36 +215,40 @@ class TestHostMemory:
 
 
 class TestDcgmBatchedSampling:
-    """The vectorized metric_arrays must be *statistically* equivalent
-    to the sequential reference: it consumes the RNG stream in a
-    different order, so values differ — distributions must not."""
+    """The batched metric_arrays must be *statistically* equivalent to
+    polling with sample_many: it consumes the RNG stream in a different
+    order, so values differ — distributions must not."""
 
-    def arrays_both_paths(self, trace, n=6000, seed=21):
-        from repro.sim.fastpath import use_fast_path
-
-        with use_fast_path(True):
-            fast = DcgmSampler(trace, seed=seed).metric_arrays(n)
-        with use_fast_path(False):
-            reference = DcgmSampler(trace, seed=seed).metric_arrays(n)
-        return fast, reference
+    def arrays_both_ways(self, trace, n=6000, seed=21):
+        batched = DcgmSampler(trace, seed=seed).metric_arrays(n)
+        samples = DcgmSampler(trace, seed=seed).sample_many(n)
+        polled = {
+            "gpu_utilization": np.array([s.gpu_utilization
+                                         for s in samples]),
+            "sm_activity": np.array([s.sm_activity for s in samples]),
+            "tc_activity": np.array([s.tc_activity for s in samples]),
+            "memory_fraction": np.array([s.memory_used_fraction
+                                         for s in samples]),
+        }
+        return batched, polled
 
     def test_distributions_match_reference(self, kalos_trace):
-        fast, reference = self.arrays_both_paths(kalos_trace)
+        batched, polled = self.arrays_both_ways(kalos_trace)
         for key in ("gpu_utilization", "sm_activity", "tc_activity",
                     "memory_fraction"):
-            assert fast[key].shape == reference[key].shape
-            assert fast[key].mean() == pytest.approx(
-                reference[key].mean(), abs=0.05), key
+            assert batched[key].shape == polled[key].shape
+            assert batched[key].mean() == pytest.approx(
+                polled[key].mean(), abs=0.05), key
         # medians only where the distribution is not knife-edge
         # bimodal (gpu_utilization is polarized per Fig. 2b, so its
         # overall median flips across the cliff with RNG ordering)
         for key in ("sm_activity", "tc_activity", "memory_fraction"):
-            assert np.median(fast[key]) == pytest.approx(
-                np.median(reference[key]), abs=0.05), key
-        # idle mass instead: both paths show ~the idle_fraction of
+            assert np.median(batched[key]) == pytest.approx(
+                np.median(polled[key]), abs=0.05), key
+        # idle mass instead: both show ~the idle_fraction of
         # exactly-zero utilization samples
-        assert (fast["sm_activity"] == 0.0).mean() == pytest.approx(
-            (reference["sm_activity"] == 0.0).mean(), abs=0.03)
+        assert (batched["sm_activity"] == 0.0).mean() == pytest.approx(
+            (polled["sm_activity"] == 0.0).mean(), abs=0.03)
 
     def test_batch_preserves_calibration_anchors(self, kalos_trace):
         """The paper's Fig. 7 anchors hold on the batched path too."""

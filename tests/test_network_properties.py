@@ -1,27 +1,33 @@
-"""Property tests: vectorized fabric math vs the scalar references.
+"""Property tests: the fabric's hot paths against their oracles.
 
-Hypothesis drives random fabrics through both implementations of
-max-min fair water-filling and both LinkHealth lookups:
+Hypothesis drives random fabrics through production max-min fair
+water-filling and LinkHealth lookups and diffs them against the
+reference bodies in ``tests/oracles/``:
 
-* the numpy filling agrees with the scalar reference to 1e-9 relative
-  (float summation order is the only permitted difference);
+* below ``_VECTOR_MIN_FLOWS`` flows, dispatch equals the pure-python
+  oracle exactly, cached or not; from there up, the numpy filling
+  agrees to 1e-9 relative (float summation order is the only
+  permitted difference);
 * classic max-min invariants hold on whichever path dispatch picks:
   no link oversubscribed, caps respected, uncapped flows sharing one
   bottleneck link equally;
 * flow-order invariance: the rate a flow receives does not depend on
   its position in the input sequence;
-* LinkHealth's bisect timeline equals the linear window scan exactly —
-  including on window boundaries (half-open semantics).
+* LinkHealth's bisect timeline and memo equal the linear window scan
+  exactly — including on window boundaries (half-open semantics) and
+  after every ``add``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.linkhealth import LinkFault, LinkHealth
-from repro.cluster.network import (Flow, clear_rate_cache,
-                                   _fill_vector, max_min_fair_rates,
-                                   max_min_fair_rates_scalar)
-from repro.sim.fastpath import use_fast_path
+from repro.cluster.network import (_VECTOR_MIN_FLOWS, Flow,
+                                   clear_rate_cache, _fill_vector,
+                                   max_min_fair_rates)
+
+from .oracles.linkhealth import factor_scan
+from .oracles.network import max_min_fair_rates_scalar
 
 # -- strategies ------------------------------------------------------------
 
@@ -39,11 +45,11 @@ rate_caps = st.one_of(
 
 
 @st.composite
-def fabrics(draw, max_flows=60):
+def fabrics(draw, min_flows=1, max_flows=60):
     """(links, flows) with random topology, caps, and duplicates."""
     names = draw(link_names)
     links = {name: draw(capacities) for name in names}
-    n_flows = draw(st.integers(1, max_flows))
+    n_flows = draw(st.integers(min_flows, max_flows))
     flows = []
     for index in range(n_flows):
         path = draw(st.lists(st.sampled_from(names),
@@ -75,16 +81,26 @@ class TestWaterFilling:
         vector = _fill_vector(links, flows)
         assert_close(scalar, vector)
 
-    @given(fabrics())
+    @given(fabrics(min_flows=_VECTOR_MIN_FLOWS))
     @settings(max_examples=60, deadline=None)
     def test_dispatch_matches_reference(self, fabric):
-        """Whatever path dispatch picks equals the reference path."""
+        """From ``_VECTOR_MIN_FLOWS`` flows, dispatch fills with numpy."""
         links, flows = fabric
-        clear_rate_cache()
-        fast = max_min_fair_rates(links, flows)
-        with use_fast_path(False):
-            reference = max_min_fair_rates(links, flows)
-        assert_close(reference, fast)
+        assert_close(max_min_fair_rates_scalar(links, flows),
+                     max_min_fair_rates(links, flows))
+
+    @given(fabrics(max_flows=_VECTOR_MIN_FLOWS - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_small_n_cache_matches_reference_exactly(self, fabric):
+        """Below it, every call equals the oracle, cached or not.
+
+        The cache is kept across examples, so a key that leaves out an
+        input shows up here as a stale hit.
+        """
+        links, flows = fabric
+        reference = max_min_fair_rates_scalar(links, flows)
+        assert max_min_fair_rates(links, flows) == reference
+        assert max_min_fair_rates(links, flows) == reference  # a hit
 
     @given(fabrics())
     @settings(max_examples=60, deadline=None)
@@ -126,31 +142,32 @@ class TestWaterFilling:
         links, flows = fabric
         shuffled = list(flows)
         rng.shuffle(shuffled)
-        assert_close(max_min_fair_rates_scalar(links, flows),
-                     max_min_fair_rates_scalar(links, shuffled))
+        assert_close(max_min_fair_rates(links, flows),
+                     max_min_fair_rates(links, shuffled))
 
     def test_unknown_link_message_identical_on_both_paths(self):
-        flows = [Flow(f"f{i}", ("missing",)) for i in range(64)]
+        """Small and vector dispatch raise the oracle's message."""
         messages = []
-        for fast in (True, False):
-            with use_fast_path(fast):
+        for n_flows in (4, 64):
+            flows = [Flow(f"f{i}", ("missing",)) for i in range(n_flows)]
+            for fill in (max_min_fair_rates, max_min_fair_rates_scalar):
                 try:
-                    max_min_fair_rates({"l": 1.0}, flows)
+                    fill({"l": 1.0}, flows)
                 except ValueError as error:
                     messages.append(str(error))
-        assert len(messages) == 2
-        assert messages[0] == messages[1]
+        assert len(messages) == 4
+        assert len(set(messages)) == 1
         assert "unknown link" in messages[0]
 
     def test_small_n_cache_returns_fresh_dicts(self):
-        """Mutating a cached result must not poison later calls."""
+        """Mutating a returned result must not poison later calls."""
         clear_rate_cache()
         links = {"l": 10.0}
         flows = [Flow("a", ("l",)), Flow("b", ("l",))]
-        first = max_min_fair_rates(links, flows)
-        first["a"] = -1.0
-        second = max_min_fair_rates(links, flows)
-        assert second["a"] == 5.0
+        for _ in range(3):  # a cache miss, then hits
+            rates = max_min_fair_rates(links, flows)
+            assert rates == {"a": 5.0, "b": 5.0}
+            rates["a"] = -1.0
 
 
 # -- link health -----------------------------------------------------------
@@ -184,19 +201,30 @@ class TestLinkHealthTimeline:
         for link in ("nic:0", "nic:1", "leaf:0", "never-faulted"):
             for at in sorted(probes):
                 assert health.factor(link, at) == \
-                    health._factor_scan(link, at), (link, at)
+                    factor_scan(health, link, at), (link, at)
 
-    @given(fault_windows)
+    @given(fault_windows, probe_times)
     @settings(max_examples=40, deadline=None)
-    def test_add_invalidates_timeline(self, windows):
-        """Queries interleaved with add() never see stale timelines."""
+    def test_add_invalidates_timeline(self, windows, times):
+        """Queries interleaved with add() never see stale answers.
+
+        After every ``add`` the same fixed probes are asked again, so
+        each one is a memo hit unless ``add`` dropped the memo.
+        """
         health = LinkHealth()
+        probes = sorted(set(times))
         for link, start, duration, factor in windows:
             health.add(LinkFault(link=link, start=start,
                                  end=start + duration, factor=factor))
-            probe = start + duration / 2.0
-            assert health.factor(link, probe) == \
-                health._factor_scan(link, probe)
+            for at in probes + [start + duration / 2.0]:
+                assert health.factor(link, at) == \
+                    factor_scan(health, link, at), (link, at)
+
+    def test_add_invalidates_memo(self):
+        health = LinkHealth()
+        assert health.factor("nic:0", 15.0) == 1.0  # memoized
+        health.link_down("nic:0", 10.0, 20.0)
+        assert health.factor("nic:0", 15.0) == 0.0
 
     def test_memo_hits_return_same_value(self):
         health = LinkHealth()

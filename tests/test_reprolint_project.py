@@ -1,4 +1,4 @@
-"""reprolint phase 2: ProjectIndex, cross-module rules, SARIF, --fix.
+"""reprolint phase 2: ProjectIndex, cross-module rules, --fix.
 
 Fixtures here are miniature on-disk ``repro`` package trees (module
 names and sim-ownership are derived from the path layout), linted with
@@ -19,12 +19,10 @@ import pytest
 
 from repro.devtools.lint import Baseline, LintConfig, run_lint
 from repro.devtools.lint.baseline import BaselineEntry
-from repro.devtools.lint.findings import RULES
 from repro.devtools.lint.fixes import apply_fixes
 from repro.devtools.lint.project import (ProjectIndex, module_name_for,
                                          module_name_from_path_text)
 from repro.devtools.lint.runner import add_arguments, main
-from repro.devtools.lint.sarif import to_sarif
 
 
 def write_tree(root: Path, files: dict[str, str]) -> list[Path]:
@@ -454,48 +452,6 @@ def test_baseline_save_round_trip_is_byte_stable(tmp_path):
     order = [e["line"] for e in
              json.loads(first.read_text())["entries"]]
     assert order == [4, 7, 9]
-
-
-# -- SARIF reporter --------------------------------------------------------
-
-
-def test_sarif_log_shape_and_fingerprints(tmp_path):
-    target = tmp_path / "repro" / "sim" / "mod.py"
-    target.parent.mkdir(parents=True)
-    target.write_text("import random\n\n"
-                      "def draw():\n"
-                      "    return random.random()\n")
-    result = run_lint([target])
-    assert [f.code for f in result.findings] == ["RNG001"]
-
-    log = to_sarif(result)
-    assert log["version"] == "2.1.0"
-    run = log["runs"][0]
-    assert run["tool"]["driver"]["name"] == "reprolint"
-    assert ({rule["id"] for rule in run["tool"]["driver"]["rules"]}
-            == set(RULES))
-    entry = run["results"][0]
-    assert entry["ruleId"] == "RNG001"
-    assert entry["level"] == "error"
-    assert (entry["partialFingerprints"]["reprolint/v1"]
-            == result.findings[0].fingerprint())
-    region = entry["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] == 4
-    assert region["snippet"]["text"] == "return random.random()"
-    assert "baselineState" not in entry
-
-
-def test_sarif_marks_baselined_findings_unchanged(tmp_path):
-    target = tmp_path / "repro" / "sim" / "mod.py"
-    target.parent.mkdir(parents=True)
-    target.write_text("import random\nVALUE = random.random()\n")
-    raw = run_lint([target])
-    baseline = Baseline.from_findings(raw.findings)
-    result = run_lint([target], baseline=baseline)
-    assert result.findings == [] and len(result.baselined) == 1
-
-    entries = to_sarif(result)["runs"][0]["results"]
-    assert [e.get("baselineState") for e in entries] == ["unchanged"]
 
 
 # -- autofixes (--fix / --check-idempotent) --------------------------------

@@ -1,8 +1,8 @@
 """Differential test: the scheduler's hot paths against their reference.
 
 ``SchedulerSimulator`` skips rounds that cannot start anything, keeps a
-running borrower total, walks a fixed window of jobs without building a
-``Candidate`` per job, and digests the queue from cached text.  Each of
+running borrower total, asks a job's pool only when it examines the
+job, and digests the queue from cached text.  Each of
 those is exact by construction; this file checks it by driving the
 simulator and the reference in ``tests/oracles/scheduler.py`` side by
 side through random submits, advances, failures, sheds and cordons,

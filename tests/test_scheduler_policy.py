@@ -7,6 +7,8 @@ from repro.scheduler.policy import (FifoPolicy, PriorityPolicy,
                                     ReservationPolicy)
 from repro.scheduler.queue import JobQueue
 
+from .oracles.scheduler import ordered_by_sort
+
 
 def job(job_id, job_type=JobType.EVALUATION, demand=1, submit=0.0):
     return Job(job_id=job_id, cluster="seren", job_type=job_type,
@@ -72,9 +74,10 @@ class TestFifoPolicy:
         queue = JobQueue()
         queue.push(job("a", JobType.EVALUATION))
         queue.push(job("b", JobType.PRETRAIN))
-        candidates = FifoPolicy().candidates(queue)
-        assert [c.job.job_id for c in candidates] == ["a", "b"]
-        assert all(c.pool == "shared" for c in candidates)
+        policy = FifoPolicy()
+        ordered = policy.ordered(queue)
+        assert [j.job_id for j in ordered] == ["a", "b"]
+        assert all(policy.pool_of(j) == "shared" for j in ordered)
 
 
 class TestPriorityPolicy:
@@ -82,15 +85,14 @@ class TestPriorityPolicy:
         queue = JobQueue()
         queue.push(job("eval", JobType.EVALUATION))
         queue.push(job("pre", JobType.PRETRAIN))
-        candidates = PriorityPolicy().candidates(queue)
-        assert candidates[0].job.job_id == "pre"
+        assert PriorityPolicy().ordered(queue)[0].job_id == "pre"
 
     def test_fifo_within_priority_class(self):
         queue = JobQueue()
         queue.push(job("e1", JobType.EVALUATION))
         queue.push(job("e2", JobType.EVALUATION))
-        candidates = PriorityPolicy().candidates(queue)
-        assert [c.job.job_id for c in candidates] == ["e1", "e2"]
+        ordered = PriorityPolicy().ordered(queue)
+        assert [j.job_id for j in ordered] == ["e1", "e2"]
 
 
 class TestReservationPolicy:
@@ -99,8 +101,8 @@ class TestReservationPolicy:
         queue.push(job("pre", JobType.PRETRAIN))
         queue.push(job("sft", JobType.SFT))
         queue.push(job("eval", JobType.EVALUATION))
-        pools = {c.job.job_id: c.pool
-                 for c in ReservationPolicy().candidates(queue)}
+        policy = ReservationPolicy()
+        pools = {j.job_id: policy.pool_of(j) for j in policy.ordered(queue)}
         assert pools["pre"] == "reserved"
         assert pools["sft"] == "reserved"
         assert pools["eval"] == "shared"
@@ -110,13 +112,12 @@ class TestReservationPolicy:
         queue.push(job("eval", JobType.EVALUATION))
         queue.push(job("debug", JobType.DEBUG))
         queue.push(job("pre", JobType.PRETRAIN))
-        order = [c.job.job_id
-                 for c in ReservationPolicy().candidates(queue)]
+        order = [j.job_id for j in ReservationPolicy().ordered(queue)]
         assert order == ["pre", "debug", "eval"]
 
 
 class TestPriorityIndexFastPath:
-    """The bucket index must reproduce the reference stable sort."""
+    """The bucket index must reproduce the oracle's stable sort."""
 
     def _random_queue(self, seed, n):
         import random
@@ -139,29 +140,21 @@ class TestPriorityIndexFastPath:
     @pytest.mark.parametrize("policy_class",
                              [PriorityPolicy, ReservationPolicy])
     def test_bucket_head_equals_stable_sort(self, policy_class, seed):
-        from repro.sim.fastpath import use_fast_path
-
         policy = policy_class()
-        for limit in (1, 3, 10, 1000):
+        for limit in (0, 1, 3, 10, 1000, None):
             queue = self._random_queue(seed, 60)
-            with use_fast_path(True):
-                fast = policy.candidates(queue, limit=limit)
-            with use_fast_path(False):
-                reference = policy.candidates(queue, limit=limit)
-            assert [(c.job.job_id, c.pool) for c in fast] == \
-                [(c.job.job_id, c.pool) for c in reference]
+            ordered = policy.ordered(queue, limit)
+            reference = ordered_by_sort(policy, queue, limit)
+            assert [j.job_id for j in ordered] == \
+                [j.job_id for j in reference], limit
 
     def test_unlimited_candidates_match_full_sort(self):
-        from repro.sim.fastpath import use_fast_path
-
         policy = PriorityPolicy()
         queue = self._random_queue(7, 40)
-        with use_fast_path(True):
-            fast = policy.candidates(queue)  # limit=None: full order
-        with use_fast_path(False):
-            reference = policy.candidates(queue)
-        assert [c.job.job_id for c in fast] == \
-            [c.job.job_id for c in reference]
+        ordered = policy.ordered(queue)  # limit=None: full order
+        assert len(ordered) == len(queue)
+        assert [j.job_id for j in ordered] == \
+            [j.job_id for j in ordered_by_sort(policy, queue)]
 
     def test_index_rebuilds_on_policy_switch(self):
         queue = JobQueue()

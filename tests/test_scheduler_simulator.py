@@ -26,6 +26,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SchedulerConfig(total_gpus=0)
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_rejects_backfill_depth_below_one(self, depth):
+        with pytest.raises(ValueError, match="backfill_depth"):
+            SchedulerConfig(total_gpus=8, backfill_depth=depth)
+
 
 class TestBasicScheduling:
     def test_job_fitting_starts_immediately(self):

@@ -1,7 +1,8 @@
 """Tests for the streaming simulation service (``repro.service``).
 
 Pins the two equivalence properties the service's determinism story
-rests on, over a chaos-storm scenario and under both engine paths:
+rests on, over a chaos-storm scenario, on the production code ("fast")
+and with the oracles in ``tests/oracles/`` swapped in ("reference"):
 
 (a) N incremental ``advance`` horizons are byte-identical to one batch
     run to the same horizon, streams included;
@@ -22,10 +23,11 @@ from repro.core.checkpoint import (CheckpointError, InMemoryStorage,
 from repro.scheduler.job import Job, JobType
 from repro.service import ClusterService, ServiceStateError
 from repro.service.state import scenario_from_dict, scenario_to_dict
-from repro.sim.fastpath import use_fast_path
 from repro.workload.streams import (EvalBurstConfig, EvalBurstStream,
                                     PoissonJobStream,
                                     PoissonStreamConfig)
+
+from .oracles import substitute
 
 STORM = "storage-storm"
 
@@ -47,17 +49,19 @@ def make_service(scenario_name=STORM, storage=None, retry=None):
 
 
 class TestIncrementalEquivalence:
-    @pytest.mark.parametrize("fast", [True, False],
+    @pytest.mark.parametrize("oracles", [False, True],
                              ids=["fast", "reference"])
-    def test_horizons_equal_batch_with_streams(self, fast):
+    def test_horizons_equal_batch_with_streams(self, oracles,
+                                               monkeypatch):
+        if oracles:
+            substitute(monkeypatch)
         duration = BUNDLED_SCENARIOS[STORM].duration
-        with use_fast_path(fast):
-            batch = make_service()
-            batch_gauges = batch.advance(duration)
-            split = make_service()
-            for part in range(1, 6):
-                split_gauges = split.advance(
-                    duration if part == 5 else duration * part / 5)
+        batch = make_service()
+        batch_gauges = batch.advance(duration)
+        split = make_service()
+        for part in range(1, 6):
+            split_gauges = split.advance(
+                duration if part == 5 else duration * part / 5)
         assert split_gauges == batch_gauges
         assert split.event_log_text() == batch.event_log_text()
         assert (split.finish().summary.to_json()
@@ -79,18 +83,20 @@ class TestIncrementalEquivalence:
 
 
 class TestSnapshotRestore:
-    @pytest.mark.parametrize("fast", [True, False],
+    @pytest.mark.parametrize("oracles", [False, True],
                              ids=["fast", "reference"])
-    def test_restore_then_advance_equals_uninterrupted(self, fast):
+    def test_restore_then_advance_equals_uninterrupted(self, oracles,
+                                                       monkeypatch):
+        if oracles:
+            substitute(monkeypatch)
         duration = BUNDLED_SCENARIOS[STORM].duration
-        with use_fast_path(fast):
-            service = make_service()
-            service.advance(duration / 2)
-            service.checkpoint()
-            restored = ClusterService.restore(service._storage)
-            assert restored.gauges() == service.gauges()
-            ahead = service.advance(duration)
-            behind = restored.advance(duration)
+        service = make_service()
+        service.advance(duration / 2)
+        service.checkpoint()
+        restored = ClusterService.restore(service._storage)
+        assert restored.gauges() == service.gauges()
+        ahead = service.advance(duration)
+        behind = restored.advance(duration)
         assert ahead == behind
         assert service.event_log_text() == restored.event_log_text()
 

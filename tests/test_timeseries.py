@@ -8,6 +8,8 @@ from repro.monitor.timeseries import (MetricStore, UtilizationSeries,
 from repro.scheduler.job import Job, JobType
 from repro.scheduler.simulator import SchedulerConfig, SchedulerSimulator
 
+from .oracles import timeseries as oracle
+
 
 class TestMetricStore:
     def test_append_and_raw(self):
@@ -138,7 +140,7 @@ class TestUtilizationRecording:
 
 
 class TestFastPathEquivalence:
-    """Vectorized recording/profile must equal the reference loops."""
+    """Vectorized recording/profile must equal the oracle loops."""
 
     def simulate(self, n_jobs=800, seed=63):
         from dataclasses import replace
@@ -156,53 +158,39 @@ class TestFastPathEquivalence:
         return simulator
 
     def test_recording_identical_to_reference(self):
-        from repro.sim.fastpath import use_fast_path
-
         simulator = self.simulate()
-        with use_fast_path(True):
-            fast = record_cluster_utilization(simulator, interval=300.0)
-        with use_fast_path(False):
-            reference = record_cluster_utilization(simulator,
-                                                   interval=300.0)
-        np.testing.assert_array_equal(fast.times, reference.times)
-        np.testing.assert_array_equal(fast.allocation,
+        series = record_cluster_utilization(simulator, interval=300.0)
+        reference = oracle.record_cluster_utilization(simulator,
+                                                      interval=300.0)
+        np.testing.assert_array_equal(series.times, reference.times)
+        np.testing.assert_array_equal(series.allocation,
                                       reference.allocation)
-        assert fast.total_gpus == reference.total_gpus
+        assert series.total_gpus == reference.total_gpus
 
     def test_recording_replicates_monotonic_skip(self):
         """Out-of-order occupancy points are dropped identically."""
-        from repro.sim.fastpath import use_fast_path
-
         simulator = SchedulerSimulator(SchedulerConfig(total_gpus=8))
         simulator.occupancy.extend([
             (0.0, 2), (10.0, 4), (5.0, 6), (7.0, 8), (12.0, 2),
             (12.0, 4), (11.0, 6), (20.0, 0)])
-        with use_fast_path(True):
-            fast = record_cluster_utilization(simulator, interval=2.0)
-        with use_fast_path(False):
-            reference = record_cluster_utilization(simulator,
-                                                   interval=2.0)
-        np.testing.assert_array_equal(fast.times, reference.times)
-        np.testing.assert_array_equal(fast.allocation,
+        series = record_cluster_utilization(simulator, interval=2.0)
+        reference = oracle.record_cluster_utilization(simulator,
+                                                      interval=2.0)
+        np.testing.assert_array_equal(series.times, reference.times)
+        np.testing.assert_array_equal(series.allocation,
                                       reference.allocation)
 
     def test_diurnal_profile_matches_reference(self):
-        from repro.sim.fastpath import use_fast_path
-
         series = record_cluster_utilization(self.simulate(),
                                             interval=450.0)
-        with use_fast_path(True):
-            fast = series.diurnal_profile()
-        with use_fast_path(False):
-            reference = series.diurnal_profile()
-        np.testing.assert_allclose(fast, reference, rtol=1e-12,
-                                   atol=1e-15)
+        np.testing.assert_allclose(series.diurnal_profile(),
+                                   oracle.diurnal_profile(series),
+                                   rtol=1e-12, atol=1e-15)
 
     def test_empty_simulator_both_paths(self):
-        from repro.sim.fastpath import use_fast_path
-
         simulator = SchedulerSimulator(SchedulerConfig(total_gpus=4))
-        for fast in (True, False):
-            with use_fast_path(fast):
-                series = record_cluster_utilization(simulator)
+        for record in (record_cluster_utilization,
+                       oracle.record_cluster_utilization):
+            series = record(simulator)
             assert series.times.size == 0
+
