@@ -88,6 +88,12 @@ class _EngineClock:
         self.offset += seconds
 
 
+def event_log_line(entry: tuple[float, str, str]) -> str:
+    """One event-log entry as a stable, diff-friendly text line."""
+    time, kind, detail = entry
+    return f"{time:12.3f}  {kind:<18} {detail}"
+
+
 @dataclass
 class ChaosResult:
     """Everything one chaos run produced."""
@@ -99,8 +105,7 @@ class ChaosResult:
 
     def event_log_lines(self) -> list[str]:
         """The event log as stable, diff-friendly text lines."""
-        return [f"{time:12.3f}  {kind:<18} {detail}"
-                for time, kind, detail in self.event_log]
+        return list(map(event_log_line, self.event_log))
 
     def event_log_text(self) -> str:
         return "\n".join(self.event_log_lines())
@@ -464,6 +469,13 @@ class ChaosHarness:
         to one batch run to the final horizon (the engine's ``until``
         never consumes sequence numbers).  Returns the engine clock.
         """
+        self.check_horizon(until)
+        return self.engine.run(until=until)
+
+    def check_horizon(self, until: float) -> None:
+        """Raise :class:`SimulationError` unless ``advance(until)`` may
+        run: the harness is started, not finished, and ``until`` is not
+        behind the clock."""
         if not self._started:
             raise SimulationError("advance() before start()")
         if self._finished:
@@ -471,7 +483,6 @@ class ChaosHarness:
         if until < self.engine.now:
             raise SimulationError(
                 f"cannot advance backwards: {until} < {self.engine.now}")
-        return self.engine.run(until=until)
 
     def _detach(self) -> None:
         """Unhook the invariant checker and tracer (idempotent).

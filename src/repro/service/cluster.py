@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any
 
-from repro.chaos.harness import ChaosHarness, ChaosResult
+from repro.chaos.harness import ChaosHarness, ChaosResult, event_log_line
 from repro.chaos.scenario import ChaosScenario
 from repro.core.checkpoint import (InMemoryStorage, RetryPolicy,
                                    SyncCheckpointer)
@@ -39,11 +39,11 @@ from repro.scheduler.job import Job
 from repro.service.admission import (RESERVED_TYPES, AdmissionPolicy,
                                      AdmissionView, OverloadConfig,
                                      OverloadState, policy_from_config)
-from repro.service.state import (STATE_VERSION, ServiceStateError,
-                                 decode_state, encode_state,
-                                 job_from_dict, job_to_dict,
-                                 scenario_from_dict, scenario_to_dict,
-                                 text_digest)
+from repro.service.state import (STATE_VERSION, RollingDigest,
+                                 ServiceStateError, decode_state,
+                                 encode_state, job_from_dict,
+                                 job_to_dict, scenario_from_dict,
+                                 scenario_to_dict, text_digest)
 from repro.sim.engine import EngineSnapshot
 from repro.workload.streams import ArrivalStream, stream_from_config
 
@@ -68,6 +68,12 @@ class _VirtualClock:
 
     def sleep(self, seconds: float) -> None:
         self.offset += seconds
+
+
+def admission_log_line(entry: tuple[float, str, str]) -> str:
+    """One admission-log entry as a stable text line."""
+    time, kind, detail = entry
+    return f"{time:12.3f}  {kind:<8} {detail}"
 
 
 @dataclass(frozen=True)
@@ -116,8 +122,10 @@ class ClusterService:
         self.harness = ChaosHarness(scenario, tracer=tracer)
         self.engine = self.harness.engine
         self.scheduler = self.harness.scheduler
-        #: every mutating op since construction, in order — replaying
-        #: it against a fresh service reconstructs this one exactly
+        #: every mutating op since construction, in order, with each
+        #: run of back-to-back advances kept as one entry for its last
+        #: horizon — replaying it against a fresh service reconstructs
+        #: this one exactly
         self._journal: list[list[Any]] = []
         self._streams: list[ArrivalStream] = []
         self.jobs_submitted = 0
@@ -142,6 +150,12 @@ class ClusterService:
         #: every admit / reject / shed / state decision, in order —
         #: replayed byte-identically by the journal (digest-verified)
         self.admission_log: list[tuple[float, str, str]] = []
+        # both log digests fold in only what was appended since their
+        # last read, so gauges and checkpoints do not grow with age
+        self._admission_digest = RollingDigest(self.admission_log,
+                                               admission_log_line)
+        self._event_log_digest = RollingDigest(self.harness.event_log,
+                                               event_log_line)
         #: best-effort jobs this service admitted and still queued:
         #: job_id -> (source, time it (re-)entered the queue)
         self._queued: dict[str, tuple[str, float]] = {}
@@ -388,9 +402,7 @@ class ClusterService:
 
     def admission_log_text(self) -> str:
         """The admission decision log so far, as stable text lines."""
-        return "\n".join(
-            f"{time:12.3f}  {kind:<8} {detail}"
-            for time, kind, detail in self.admission_log)
+        return "\n".join(map(admission_log_line, self.admission_log))
 
     # -- incremental operation --------------------------------------------
 
@@ -399,11 +411,20 @@ class ClusterService:
 
         Journaled.  Horizons are cumulative: any partitioning of a run
         into ``advance`` calls is event-for-event identical to one
-        batch run to the final horizon.
+        batch run to the final horizon, so back-to-back advances share
+        one journal entry holding the latest horizon.
         """
-        self._journal.append(["advance", float(until)])
-        self.harness.advance(until)
+        self._advance(float(until))
         return self.gauges()
+
+    def _advance(self, until: float) -> None:
+        # reject a bad horizon before it can reach the journal, where
+        # it would overwrite the live entry and break every restore
+        self.harness.check_horizon(until)
+        if self._journal and self._journal[-1][0] == "advance":
+            self._journal.pop()
+        self._journal.append(["advance", until])
+        self.harness.advance(until)
 
     def gauges(self) -> ServiceGauges:
         """Sample the live operating gauges (pure read)."""
@@ -425,7 +446,7 @@ class ClusterService:
             jobs_shed=self.jobs_shed,
             chains_deferred=self.chains_deferred,
             queue_depth_peak=self.queue_depth_peak,
-            admission_digest=text_digest(self.admission_log_text()),
+            admission_digest=self._admission_digest.hexdigest(),
         )
 
     def finish(self) -> ChaosResult:
@@ -434,9 +455,7 @@ class ClusterService:
 
     def event_log_text(self) -> str:
         """The harness event log so far, as stable text lines."""
-        return "\n".join(
-            f"{time:12.3f}  {kind:<18} {detail}"
-            for time, kind, detail in self.harness.event_log)
+        return "\n".join(map(event_log_line, self.harness.event_log))
 
     # -- checkpoint / restore ---------------------------------------------
 
@@ -473,13 +492,12 @@ class ClusterService:
                 "digest": snapshot.digest(),
             },
             "scheduler_digest": self.scheduler.state_digest(),
-            "event_log_digest": text_digest(self.event_log_text()),
+            "event_log_digest": self._event_log_digest.hexdigest(),
             "admission": (self.admission.to_config_dict()
                           if self.admission is not None else None),
             "overload": (self.overload.to_config_dict()
                          if self.overload is not None else None),
-            "admission_log_digest": text_digest(
-                self.admission_log_text()),
+            "admission_log_digest": self._admission_digest.hexdigest(),
         }
 
     @classmethod
@@ -492,8 +510,10 @@ class ClusterService:
         Walks generations through ``load_at_or_before`` (corrupt ones
         are quarantined, older generations are fallen back to), then
         replays the journal against a fresh service and verifies the
-        engine heap, scheduler digest, and event-log digest all match
-        what the snapshot recorded.  Raises
+        engine heap, scheduler digest, and both log digests all match
+        what the snapshot recorded.  The log digests are recomputed
+        from the full text here, independently of the rolling ones the
+        snapshot was written with.  Raises
         :class:`~repro.core.checkpoint.StorageError` when storage is
         unreachable and :class:`ServiceStateError` when nothing
         readable exists or the replay diverges.
@@ -529,7 +549,7 @@ class ClusterService:
             elif op == "submit":
                 self.submit(job_from_dict(arg))
             elif op == "advance":
-                self.advance(arg)
+                self._advance(float(arg))
             else:
                 raise ServiceStateError(
                     f"unknown journal op {op!r}")

@@ -4,8 +4,11 @@ A :class:`~repro.service.cluster.ClusterService` snapshot is
 *replay-based*: heap callbacks (closures over live scheduler state)
 cannot be serialized, so the snapshot records what is sufficient to
 rebuild them — the scenario, the op journal (every attach / submit /
-advance since construction) — plus digests of the engine heap, the
-scheduler state, and the event log that *prove* a replay reconverged.
+advance since construction, with each run of back-to-back advances
+kept as one entry for its last horizon; older snapshots holding one
+entry per advance replay the same) — plus digests of the engine heap,
+the scheduler state, and the event log that *prove* a replay
+reconverged.
 
 The whole payload is canonical JSON wrapped in a one-key
 ``StateDict`` (a ``uint8`` array), so it rides the existing
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, fields
 from typing import Any
 
@@ -42,6 +46,33 @@ class ServiceStateError(RuntimeError):
 def text_digest(text: str) -> str:
     """crc32 content digest of ``text`` as fixed-width hex."""
     return f"{zlib.crc32(text.encode('utf-8')):08x}"
+
+
+class RollingDigest:
+    """:func:`text_digest` of an append-only log, folded as it grows.
+
+    ``render`` formats one entry as one line of the log's text.  A read
+    folds in only the entries appended since the previous read, so
+    :meth:`hexdigest` costs O(new lines) and still equals
+    ``text_digest("\\n".join(map(render, log)))``: every line but the
+    first is folded with its ``"\\n"`` separator in front.
+    """
+
+    def __init__(self, log: Sequence[Any],
+                 render: Callable[[Any], str]) -> None:
+        self.log = log
+        self.render = render
+        self._folded = 0
+        self._crc = 0
+
+    def hexdigest(self) -> str:
+        log, render, crc = self.log, self.render, self._crc
+        for index in range(self._folded, len(log)):
+            line = render(log[index]).encode("utf-8")
+            crc = zlib.crc32(b"\n" + line if index else line, crc)
+        self._folded = len(log)
+        self._crc = crc
+        return f"{crc:08x}"
 
 
 # -- scenario round-trip ---------------------------------------------------

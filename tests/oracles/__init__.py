@@ -18,10 +18,12 @@ import pytest
 from repro.cluster.linkhealth import LinkHealth
 from repro.scheduler.policy import PriorityPolicy
 from repro.scheduler.simulator import SchedulerSimulator
+from repro.service.state import RollingDigest
 
 from .linkhealth import factor_scan
 from .network import max_min_fair_rates_scalar
 from .scheduler import ReferenceSchedulerSimulator, ordered_by_sort
+from .service import full_text_digest
 
 
 def substitute(monkeypatch: pytest.MonkeyPatch) -> Counter[str]:
@@ -52,4 +54,6 @@ def substitute(monkeypatch: pytest.MonkeyPatch) -> Counter[str]:
         monkeypatch.setattr(SchedulerSimulator, method, counted(
             f"SchedulerSimulator.{method}",
             getattr(ReferenceSchedulerSimulator, method)))
+    monkeypatch.setattr(RollingDigest, "hexdigest", counted(
+        "RollingDigest.hexdigest", full_text_digest))
     return calls

@@ -87,8 +87,7 @@ class TestSnapshotRestore:
                              ids=["fast", "reference"])
     def test_restore_then_advance_equals_uninterrupted(self, oracles,
                                                        monkeypatch):
-        if oracles:
-            substitute(monkeypatch)
+        calls = substitute(monkeypatch) if oracles else None
         duration = BUNDLED_SCENARIOS[STORM].duration
         service = make_service()
         service.advance(duration / 2)
@@ -99,6 +98,9 @@ class TestSnapshotRestore:
         behind = restored.advance(duration)
         assert ahead == behind
         assert service.event_log_text() == restored.event_log_text()
+        if calls is not None:
+            # gauges and the snapshot read the full-text digest oracle
+            assert calls["RollingDigest.hexdigest"] > 0
 
     def test_external_submissions_survive_restore(self):
         service = make_service("smoke")
@@ -124,6 +126,18 @@ class TestSnapshotRestore:
         restored = ClusterService.restore(service._storage)
         restored.advance(3000.0)
         assert restored.checkpoint() == 2
+
+    def test_rejected_backwards_advance_keeps_restore_working(self):
+        from repro.sim.engine import SimulationError
+        service = make_service("smoke")
+        service.advance(3600.0)
+        journal = [list(entry) for entry in service._journal]
+        with pytest.raises(SimulationError):
+            service.advance(1800.0)
+        assert service._journal == journal
+        service.checkpoint()
+        restored = ClusterService.restore(service._storage)
+        assert restored.gauges() == service.gauges()
 
     def test_restore_from_empty_storage_raises(self):
         with pytest.raises(ServiceStateError):
