@@ -1,9 +1,10 @@
 """reprolint — determinism & simulation-safety static analysis.
 
 An AST-based lint pass purpose-built for this seeded discrete-event
-codebase.  Seven rules encode the conventions that keep golden chaos
-traces byte-stable; see ``docs/LINT.md`` for the catalogue and
-``python -m repro lint --list-rules`` for a summary.
+codebase.  Twelve rules — seven file-local, five cross-module — encode
+the conventions that keep golden chaos traces byte-stable; see
+``docs/LINT.md`` for the catalogue and ``python -m repro lint
+--list-rules`` for a summary.
 
 Library use::
 
@@ -11,7 +12,6 @@ Library use::
     findings = lint_source(code, path="sim/example.py")
 """
 
-from repro.devtools.lint.baseline import Baseline, BaselineEntry
 from repro.devtools.lint.checkers import ALL_CHECKERS
 from repro.devtools.lint.context import SIM_PACKAGES, FileContext
 from repro.devtools.lint.findings import RULES, Finding
@@ -21,8 +21,6 @@ from repro.devtools.lint.walker import Checker, run_checkers
 
 __all__ = [
     "ALL_CHECKERS",
-    "Baseline",
-    "BaselineEntry",
     "Checker",
     "FileContext",
     "Finding",

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 #: every rule code reprolint can emit, with its one-line charter.
@@ -51,18 +50,6 @@ class Finding:
     end_line: int = 0
     end_col: int = 0
     snippet: str = ""
-    #: populated when a baseline entry absorbed this finding
-    justification: str | None = field(default=None, compare=False)
-
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Deliberately excludes the line number so that unrelated edits
-        above a grandfathered finding do not invalidate the baseline;
-        the snippet text anchors it instead.
-        """
-        payload = f"{self.path}|{self.code}|{self.snippet}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -74,7 +61,6 @@ class Finding:
             "end_line": self.end_line,
             "end_col": self.end_col,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint(),
         }
 
     def render(self) -> str:

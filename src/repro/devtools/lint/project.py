@@ -1,11 +1,12 @@
-"""Phase-1 project index: whole-tree facts for cross-module rules.
+"""Project index: whole-tree facts for cross-module rules.
 
 The file-local checkers (phase 1 of a lint run) see one module at a
 time; the conventions that keep golden traces byte-stable — isolated
 RNG streams, the ``tracer=None → NULL_TRACER`` seam, attach/detach
 pairing, no wall-clock reach-through — are *cross-module* contracts.
 :class:`ProjectIndex` is the shared substrate for checking them: one
-pass over every file builds
+pass over the :class:`FileContext` objects phase 1 already parsed
+builds
 
 * a module import graph (absolute imports, relative imports resolved
   against the importer's package);
@@ -16,19 +17,14 @@ pass over every file builds
   referenced symbols, and span emission;
 * module-level constant dicts (the RNG-stream registry).
 
-Index construction is content-hash cached: rebuilding with ``previous``
-re-parses only files whose bytes changed and reuses every other
-module's summary object.
-
 Project checkers (phase 2) subclass :class:`ProjectChecker` and run
-against the finished index; their findings carry the same fingerprints
-and obey the same inline suppressions as file-local ones.
+against the finished index; their findings obey the same inline
+suppressions as file-local ones.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -156,11 +152,10 @@ class ClassSummary:
 
 @dataclass
 class ModuleInfo:
-    """Phase-1 summary of one parsed module."""
+    """Summary of one parsed module."""
 
     name: str
     path: Path
-    digest: str
     ctx: FileContext
     #: absolute dotted modules this module imports
     module_imports: frozenset[str] = frozenset()
@@ -362,9 +357,10 @@ def _summarize_class(node: ast.ClassDef, ctx: FileContext
     return summary
 
 
-def _summarize_module(name: str, path: Path, digest: str,
-                      ctx: FileContext) -> ModuleInfo:
-    info = ModuleInfo(name=name, path=path, digest=digest, ctx=ctx)
+def _summarize_module(ctx: FileContext) -> ModuleInfo:
+    path = Path(ctx.path)
+    name = module_name_for(path)
+    info = ModuleInfo(name=name, path=path, ctx=ctx)
     is_package = path.stem == "__init__"
     imports: set[str] = set()
     defined: set[str] = set()
@@ -420,43 +416,14 @@ class ProjectIndex:
     """Cross-module facts for one lint run."""
 
     modules: dict[str, ModuleInfo] = field(default_factory=dict)
-    by_path: dict[str, str] = field(default_factory=dict)
-    #: modules re-parsed (vs. reused) in the last build — cache telemetry
-    parsed: frozenset[str] = frozenset()
 
     @classmethod
-    def build(cls, files: Sequence[str | Path],
-              previous: "ProjectIndex | None" = None) -> "ProjectIndex":
-        """Index ``files``, reusing ``previous`` for unchanged bytes."""
+    def build(cls, contexts: Iterable[FileContext]) -> "ProjectIndex":
+        """Index the files phase 1 parsed, keyed by module name."""
         index = cls()
-        parsed: set[str] = set()
-        for raw in files:
-            path = Path(raw)
-            try:
-                source = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError):
-                continue
-            digest = hashlib.sha256(
-                source.encode("utf-8")).hexdigest()
-            key = str(path.resolve())
-            name = module_name_for(path)
-            old = None
-            if previous is not None:
-                old_name = previous.by_path.get(key)
-                old = (previous.modules.get(old_name)
-                       if old_name is not None else None)
-            if old is not None and old.digest == digest:
-                info = old
-            else:
-                try:
-                    ctx = FileContext.parse(source, str(path))
-                except SyntaxError:
-                    continue        # phase 1 reports PAR000
-                info = _summarize_module(name, path, digest, ctx)
-                parsed.add(name)
-            index.modules[name] = info
-            index.by_path[key] = name
-        index.parsed = frozenset(parsed)
+        for ctx in contexts:
+            info = _summarize_module(ctx)
+            index.modules[info.name] = info
         return index
 
     # -- symbol resolution -------------------------------------------------

@@ -1,4 +1,4 @@
-"""reprolint: per-rule fixtures, suppressions, baseline, CLI contract.
+"""reprolint: per-rule fixtures, suppressions, CLI contract.
 
 Every rule gets at least one positive fixture (the violation fires,
 with the expected span) and one negative fixture (the idiomatic
@@ -20,11 +20,9 @@ from pathlib import Path
 import pytest
 
 from repro.devtools.lint import (
-    Baseline,
     LintConfig,
     RULES,
     lint_source,
-    run_lint,
 )
 from repro.devtools.lint.context import is_sim_owned
 from repro.devtools.lint.runner import add_arguments, main
@@ -337,7 +335,7 @@ def test_suppressing_wrong_code_does_not_hide_finding():
     assert codes(findings) == ["RNG001"]
 
 
-# -- baseline round-trip ---------------------------------------------------
+# -- CLI surface -----------------------------------------------------------
 
 
 VIOLATING = textwrap.dedent("""\
@@ -346,57 +344,6 @@ VIOLATING = textwrap.dedent("""\
     def draw():
         return random.random()
     """)
-
-
-def test_baseline_round_trip_absorbs_then_goes_stale(tmp_path):
-    target = tmp_path / "pkg" / "sim" / "mod.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(VIOLATING)
-    baseline_path = tmp_path / "baseline.json"
-
-    first = run_lint([target])
-    assert codes(first.findings) == ["RNG001"]
-
-    baseline = Baseline.from_findings(first.findings)
-    baseline.entries[0].justification = "fixture: grandfathered"
-    baseline.save(baseline_path)
-
-    # reload from disk and the finding is absorbed, not fresh
-    second = run_lint([target], baseline=Baseline.load(baseline_path))
-    assert second.findings == []
-    assert codes(second.baselined) == ["RNG001"]
-    assert second.baselined[0].justification == "fixture: grandfathered"
-    assert second.stale_entries == []
-    assert second.exit_code == 0
-
-    # fixing the violation turns the entry stale but stays exit 0
-    target.write_text("def draw():\n    return 4\n")
-    third = run_lint([target], baseline=Baseline.load(baseline_path))
-    assert third.findings == []
-    assert [e.fingerprint for e in third.stale_entries] == [
-        baseline.entries[0].fingerprint]
-    assert third.exit_code == 0
-
-
-def test_fingerprint_survives_unrelated_edits(tmp_path):
-    target = tmp_path / "sim" / "mod.py"
-    target.parent.mkdir()
-    target.write_text(VIOLATING)
-    before = run_lint([target]).findings[0].fingerprint()
-    target.write_text("import os\n\n\n" + VIOLATING)
-    after = run_lint([target]).findings[0].fingerprint()
-    assert before == after
-
-
-def test_regeneration_carries_justifications_forward():
-    finding = lint(VIOLATING)[0]
-    old = Baseline.from_findings([finding])
-    old.entries[0].justification = "seeded later, see #42"
-    new = Baseline.from_findings([finding], previous=old)
-    assert new.entries[0].justification == "seeded later, see #42"
-
-
-# -- CLI surface -----------------------------------------------------------
 
 
 def cli(argv, tmp_path=None):
@@ -411,7 +358,7 @@ def test_cli_text_output_and_exit_one(tmp_path):
     target = tmp_path / "sim" / "mod.py"
     target.parent.mkdir()
     target.write_text(VIOLATING)
-    status, out = cli([str(target), "--no-baseline"])
+    status, out = cli([str(target)])
     assert status == 1
     assert f"{target}:4:12: RNG001" in out
     assert "1 files, 1 findings" in out
@@ -421,44 +368,37 @@ def test_cli_json_output_includes_spans(tmp_path):
     target = tmp_path / "sim" / "mod.py"
     target.parent.mkdir()
     target.write_text(VIOLATING)
-    status, out = cli([str(target), "--no-baseline", "--format",
-                       "json"])
+    status, out = cli([str(target), "--format", "json"])
     payload = json.loads(out)
     assert status == payload["exit_code"] == 1
     (finding,) = payload["findings"]
     assert finding["code"] == "RNG001"
     assert finding["line"] == 4
     assert finding["snippet"] == "return random.random()"
-    assert len(finding["fingerprint"]) == 16
 
 
 def test_cli_parse_error_exits_two(tmp_path):
     target = tmp_path / "sim" / "broken.py"
     target.parent.mkdir()
     target.write_text("def draw(:\n")
-    status, out = cli([str(target), "--no-baseline"])
+    status, out = cli([str(target)])
     assert status == 2
     assert "PAR000" in out
+
+
+@pytest.mark.parametrize("missing", ["does_not_exist.py", "srcc/"])
+def test_cli_missing_path_exits_two(tmp_path, missing):
+    target = tmp_path / missing
+    status, out = cli([str(target)])
+    assert status == 2
+    assert f"{target}:1:1: PAR000" in out
+    assert "1 parse errors" in out
 
 
 def test_cli_rejects_unknown_rule_code(tmp_path):
     status, out = cli(["--select", "NOPE42"])
     assert status == 2
     assert "NOPE42" in out
-
-
-def test_cli_update_baseline_then_clean(tmp_path):
-    target = tmp_path / "sim" / "mod.py"
-    target.parent.mkdir()
-    target.write_text(VIOLATING)
-    baseline_path = tmp_path / "baseline.json"
-    status, out = cli([str(target), "--baseline", str(baseline_path),
-                       "--update-baseline"])
-    assert status == 0
-    assert baseline_path.exists()
-    status, out = cli([str(target), "--baseline", str(baseline_path)])
-    assert status == 0
-    assert "1 baselined" in out
 
 
 def test_cli_list_rules():

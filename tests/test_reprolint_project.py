@@ -1,28 +1,22 @@
-"""reprolint phase 2: ProjectIndex, cross-module rules, --fix.
+"""reprolint phase 2: ProjectIndex and the cross-module rules.
 
 Fixtures here are miniature on-disk ``repro`` package trees (module
 names and sim-ownership are derived from the path layout), linted with
 ``run_lint`` so both phases execute.  Each cross-module rule gets a
 positive and a negative fixture; the index itself gets structural
-tests (import graph, re-export canonicalization, content-hash cache).
+tests (import graph, re-export canonicalization, one parse per file).
 """
 
 from __future__ import annotations
 
-import argparse
-import io
-import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import Baseline, LintConfig, run_lint
-from repro.devtools.lint.baseline import BaselineEntry
-from repro.devtools.lint.fixes import apply_fixes
-from repro.devtools.lint.project import (ProjectIndex, module_name_for,
+from repro.devtools.lint import FileContext, LintConfig, run_lint
+from repro.devtools.lint.project import (module_name_for,
                                          module_name_from_path_text)
-from repro.devtools.lint.runner import add_arguments, main
 
 
 def write_tree(root: Path, files: dict[str, str]) -> list[Path]:
@@ -368,7 +362,7 @@ class TestProjectIndex:
             "repro/chaos/scenario.py": "from .faults import x\n",
             "repro/chaos/deep/nested.py": "from ..faults import x\n",
         })
-        index = ProjectIndex.build(paths)
+        index = run_lint(paths).index
         assert ("repro.chaos.faults" in
                 index.modules["repro.chaos.scenario"].module_imports)
         assert ("repro.chaos.faults" in
@@ -382,7 +376,7 @@ class TestProjectIndex:
             "repro/core/__init__.py":
                 "from repro.obs import NULL_TRACER\n",
         })
-        index = ProjectIndex.build(paths)
+        index = run_lint(paths).index
         assert (index.canonical("repro.core", "NULL_TRACER")
                 == "repro.obs.tracer.NULL_TRACER")
         assert (index.canonical_use("repro.core.NULL_TRACER")
@@ -391,138 +385,26 @@ class TestProjectIndex:
         assert (index.canonical("repro.core", "missing")
                 == "repro.core.missing")
 
-    def test_cache_reuses_unchanged_modules(self, tmp_path):
+    def test_each_file_is_parsed_once(self, tmp_path, monkeypatch):
         paths = write_tree(tmp_path, {
             "repro/chaos/faults.py": "x = 1\n",
-            "repro/chaos/scenario.py": "y = 2\n",
+            "repro/chaos/scenario.py": "from .faults import x\n",
         })
-        first = ProjectIndex.build(paths)
-        assert first.parsed == set(first.modules)
+        calls = []
+        parse = FileContext.parse
 
-        (tmp_path / "repro/chaos/scenario.py").write_text("y = 3\n")
-        second = ProjectIndex.build(paths, previous=first)
-        assert second.parsed == {"repro.chaos.scenario"}
-        assert (second.modules["repro.chaos.faults"]
-                is first.modules["repro.chaos.faults"])
-        assert (second.modules["repro.chaos.scenario"]
-                is not first.modules["repro.chaos.scenario"])
+        def counting_parse(source, path):
+            calls.append(path)
+            return parse(source, path)
 
-
-# -- baseline determinism (duplicate fingerprints) -------------------------
-
-
-def _entry(fingerprint, justification, line=1, count=1):
-    return BaselineEntry(fingerprint=fingerprint, code="RNG001",
-                         path="src/repro/sim/mod.py", line=line,
-                         snippet="x", justification=justification,
-                         count=count)
-
-
-def test_baseline_merges_duplicate_fingerprints_deterministically():
-    baseline = Baseline(entries=[
-        _entry("aa", "first wins", line=4),
-        _entry("aa", "ignored duplicate", line=9),
-        _entry("bb", "other", line=2),
-    ])
-    merged = {e.fingerprint: e for e in baseline.merged_entries()}
-    assert merged["aa"].count == 2
-    assert merged["aa"].justification == "first wins"
-    assert merged["aa"].line == 4
-    # merging copies; the stored entries are untouched
-    assert [e.count for e in baseline.entries] == [1, 1, 1]
-
-    fresh, baselined, stale = baseline.apply([])
-    assert fresh == [] and baselined == []
-    # stale order follows (path, code, line, fingerprint)
-    assert [(e.fingerprint, e.count) for e in stale] == [
-        ("bb", 1), ("aa", 2)]
-
-
-def test_baseline_save_round_trip_is_byte_stable(tmp_path):
-    baseline = Baseline(entries=[
-        _entry("bb", "b", line=7),
-        _entry("aa", "dup", line=9),
-        _entry("aa", "dup", line=4),
-    ])
-    first = tmp_path / "one.json"
-    baseline.save(first)
-    second = tmp_path / "two.json"
-    Baseline.load(first).save(second)
-    assert first.read_bytes() == second.read_bytes()
-    order = [e["line"] for e in
-             json.loads(first.read_text())["entries"]]
-    assert order == [4, 7, 9]
-
-
-# -- autofixes (--fix / --check-idempotent) --------------------------------
-
-
-def cli(*argv: str) -> tuple[int, str]:
-    parser = argparse.ArgumentParser()
-    add_arguments(parser)
-    stream = io.StringIO()
-    code = main(parser.parse_args(list(argv)), stream=stream)
-    return code, stream.getvalue()
-
-
-def test_fix_wraps_set_iteration_in_sorted(tmp_path):
-    target = tmp_path / "repro" / "sim" / "mod.py"
-    target.parent.mkdir(parents=True)
-    target.write_text("def drain(jobs):\n"
-                      "    for job in {j.lower() for j in jobs}:\n"
-                      "        print(job)\n")
-    code, out = cli(str(target), "--fix", "--no-baseline",
-                    "--no-project")
-    assert code == 0
-    assert "applied 1 fixes in 1 files" in out
-    assert ("for job in sorted({j.lower() for j in jobs}):"
-            in target.read_text())
-
-
-def test_fix_repairs_tracer_seam_and_is_idempotent(tmp_path):
-    write_tree(tmp_path, {
-        "repro/core/runner.py": """\
-            class Runner:
-                def __init__(self, tracer):
-                    self.tracer = tracer
-            """,
-    })
-    target = tmp_path / "repro" / "core" / "runner.py"
-    code, out = cli(str(tmp_path), "--fix", "--check-idempotent",
-                    "--no-baseline")
-    assert code == 0, out
-    assert "applied 2 fixes in 1 files" in out
-    fixed = target.read_text()
-    assert "from repro.obs.tracer import NULL_TRACER" in fixed
-    assert "def __init__(self, tracer=None):" in fixed
-    assert "self.tracer = tracer or NULL_TRACER" in fixed
-
-
-def test_fix_second_pass_applies_nothing(tmp_path):
-    write_tree(tmp_path, {
-        "repro/core/runner.py": """\
-            class Runner:
-                def __init__(self, tracer):
-                    self.tracer = tracer
-            """,
-    })
-    code, out = cli(str(tmp_path), "--fix", "--no-baseline")
-    assert code == 0
-    code, out = cli(str(tmp_path), "--fix", "--no-baseline")
-    assert code == 0
-    assert "applied 0 fixes in 0 files" in out
-
-
-def test_check_idempotent_requires_fix(tmp_path):
-    code, out = cli(str(tmp_path), "--check-idempotent")
-    assert code == 2
-    assert "--check-idempotent requires --fix" in out
-
-
-def test_apply_fixes_skips_unfixable_findings():
-    source = "x = 1\n"
-    fixed, applied = apply_fixes(source, [])
-    assert fixed == source and applied == 0
+        monkeypatch.setattr(FileContext, "parse",
+                            staticmethod(counting_parse))
+        result = run_lint(paths)
+        assert result.index is not None
+        assert set(result.index.modules) == {
+            "repro", "repro.chaos", "repro.chaos.faults",
+            "repro.chaos.scenario"}
+        assert len(calls) == result.files_checked == len(paths)
 
 
 # -- phase toggling --------------------------------------------------------
