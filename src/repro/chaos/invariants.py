@@ -83,8 +83,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cluster.linkhealth import LinkHealth
-from repro.cluster.machine import Node
+from repro.cluster.machine import Node, NodeHealth
 from repro.core.recovery.controller import HotSparePool, RecoveryPlan
+from repro.scheduler.job import JobState
 from repro.scheduler.simulator import SchedulerSimulator
 from repro.training.pretrain import PretrainProcess
 
@@ -93,7 +94,7 @@ class InvariantViolation(AssertionError):
     """A cross-layer invariant failed during a chaos run."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RestartRecord:
     """One recovery restart: where the job was, where it resumed."""
 
@@ -127,6 +128,8 @@ class InvariantChecker:
     pretrain: PretrainProcess | None = None
     checks_run: int = 0
     restart_records: list[RestartRecord] = field(default_factory=list)
+    #: how many ``restart_records`` have passed invariant 4
+    _rollbacks_checked: int = field(default=0, init=False, repr=False)
     #: (fault index, plan) for injected infrastructure failures
     infra_plans: list[tuple[int, RecoveryPlan | None]] = field(
         default_factory=list)
@@ -196,17 +199,64 @@ class InvariantChecker:
     # -- per-event check ----------------------------------------------------
 
     def check(self, time: float) -> None:
-        """Engine listener: validate everything after one event."""
+        """Engine listener: validate everything after one event.
+
+        Every invariant is checked on every call, reading only what it
+        needs: the allocated total is the scheduler's running count,
+        and each rollback record is checked once, by the first call
+        after it is appended (records are frozen).  The gang, cordon
+        and spare scans run unsorted and build nothing while the state
+        is sound; only a scan that finds a violation runs the sorted
+        ``_check_*`` scan, which names the first offender in sorted
+        order.
+        """
         self.checks_run += 1
-        self._check_counters(time)
-        self._check_gangs(time)
-        self._check_cordon_isolation(time)
-        self._check_rollbacks()
-        self._check_spares(time)
-        self._check_queue_bound(time)
+        sched = self.scheduler
+        free_reserved = sched.free_reserved
+        free_shared = sched.free_shared
+        cordoned = sched.cordoned_gpus
+        allocated = sched.gpus_allocated
+        if (free_reserved < 0 or free_shared < 0 or cordoned < 0
+                or free_reserved + free_shared + cordoned + allocated
+                != sched.config.total_gpus
+                or sched._pending_cordon > allocated):
+            self._check_counters(time)
+        running = JobState.RUNNING
+        for allocation in sched._allocations.values():
+            job = allocation.job
+            if (job is None or job.state is not running
+                    or allocation.from_reserved + allocation.from_shared
+                    != job.gpu_demand):
+                self._check_gangs(time)
+        nodes, healthy = self.nodes, NodeHealth.HEALTHY
+        for name in self.placements:
+            if nodes[name].health is not healthy:
+                self._check_cordon_isolation(time)
+        records = self.restart_records
+        if self._rollbacks_checked < len(records):
+            for record in records[self._rollbacks_checked:]:
+                if record.restored_step > record.step_at_failure:
+                    raise InvariantViolation(
+                        f"t={record.time:.3f}: rollback moved forward — "
+                        f"restored step {record.restored_step} is past "
+                        f"the failure at step {record.step_at_failure}")
+            self._rollbacks_checked = len(records)
+        pool = self.spare_pool
+        if pool is not None:
+            available = pool._available
+            for spare in available:
+                if (spare in pool.allocated or spare in self.placements
+                        or available.count(spare) > 1):
+                    self._check_spares(time)
+        if self.admission_depth_bound is not None:
+            self._check_queue_bound(time)
 
     def _fail(self, time: float, message: str) -> None:
         raise InvariantViolation(f"t={time:.3f}: {message}")
+
+    # The counter, gang, cordon and spare scans below run only once
+    # ``check`` has found a violation; each raises naming the first
+    # offender in sorted order.
 
     def _check_counters(self, time: float) -> None:
         sched = self.scheduler
@@ -252,14 +302,6 @@ class InvariantChecker:
             if not node.schedulable:
                 self._fail(time, f"cordoned node {node_name} still hosts "
                                  f"{job_id}")
-
-    def _check_rollbacks(self) -> None:
-        for record in self.restart_records:
-            if record.restored_step > record.step_at_failure:
-                raise InvariantViolation(
-                    f"t={record.time:.3f}: rollback moved forward — "
-                    f"restored step {record.restored_step} is past the "
-                    f"failure at step {record.step_at_failure}")
 
     def _check_spares(self, time: float) -> None:
         """Invariant 13: the hot-spare pool never double-books a node."""

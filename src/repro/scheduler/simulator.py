@@ -101,6 +101,9 @@ class SchedulerSimulator:
         #: kept as a running total so a blocked reserved-pool candidate
         #: learns in O(1) whether eviction could make room
         self._borrowed = 0
+        #: GPUs held by running jobs, kept as a running total so the
+        #: chaos invariant checker reads it in O(1) after every event
+        self.gpus_allocated = 0
         self.started: list[Job] = []
         self.finished: list[Job] = []
         #: queued jobs withdrawn by load shedding (never ran)
@@ -239,12 +242,6 @@ class SchedulerSimulator:
         for hook in self.hooks:
             hook(kind, job)
 
-    @property
-    def gpus_allocated(self) -> int:
-        """GPUs currently held by running jobs."""
-        return sum(a.from_reserved + a.from_shared
-                   for a in self._allocations.values())
-
     # -- event handlers -----------------------------------------------------
 
     def _on_submit(self, job: Job) -> None:
@@ -365,6 +362,8 @@ class SchedulerSimulator:
         """Return an ended allocation's GPUs to the pools."""
         self.free_reserved += allocation.from_reserved
         self.free_shared += allocation.from_shared
+        self.gpus_allocated -= (allocation.from_reserved
+                                + allocation.from_shared)
         if allocation.pool == "shared":
             self._borrowed -= allocation.from_reserved
         self._apply_pending_cordon()
@@ -396,6 +395,8 @@ class SchedulerSimulator:
         self.queue.remove(job)
         self.free_reserved -= allocation.from_reserved
         self.free_shared -= allocation.from_shared
+        self.gpus_allocated += (allocation.from_reserved
+                                + allocation.from_shared)
         allocation.pool = pool
         allocation.job = job
         if pool == "shared":

@@ -15,11 +15,13 @@ from typing import Any, Callable
 
 import pytest
 
+from repro.chaos.invariants import InvariantChecker
 from repro.cluster.linkhealth import LinkHealth
 from repro.scheduler.policy import PriorityPolicy
 from repro.scheduler.simulator import SchedulerSimulator
 from repro.service.state import RollingDigest
 
+from . import invariants
 from .linkhealth import factor_scan
 from .network import max_min_fair_rates_scalar
 from .scheduler import ReferenceSchedulerSimulator, ordered_by_sort
@@ -56,4 +58,6 @@ def substitute(monkeypatch: pytest.MonkeyPatch) -> Counter[str]:
             getattr(ReferenceSchedulerSimulator, method)))
     monkeypatch.setattr(RollingDigest, "hexdigest", counted(
         "RollingDigest.hexdigest", full_text_digest))
+    monkeypatch.setattr(InvariantChecker, "check", counted(
+        "InvariantChecker.check", invariants.check))
     return calls

@@ -102,3 +102,9 @@ def borrowed_reserved(sim: SchedulerSimulator) -> int:
     return sum(allocation.from_reserved
                for allocation in sim._allocations.values()
                if allocation.pool == "shared")
+
+
+def allocated_gpus(sim: SchedulerSimulator) -> int:
+    """GPUs held by running jobs, recounted."""
+    return sum(allocation.from_reserved + allocation.from_shared
+               for allocation in sim._allocations.values())

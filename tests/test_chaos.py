@@ -1,6 +1,7 @@
 """Tests for the live fault-injection (chaos) harness."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -13,10 +14,12 @@ from repro.cli import main
 from repro.cluster.machine import Node, NodeHealth, seren_node_spec
 from repro.core.recovery.controller import HotSparePool, RecoveryPlan
 from repro.failures.taxonomy import FailureCategory
-from repro.scheduler.job import Job, JobType
+from repro.scheduler.job import JobState
 from repro.scheduler.simulator import SchedulerConfig, SchedulerSimulator
 from repro.sim.engine import Engine
 from repro.training.pretrain import PretrainProcess
+
+from .test_invariant_oracle import PairedRun
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +129,77 @@ class _LeakyScheduler(SchedulerSimulator):
         self.free_shared += 1
 
 
+#: when the scheduled defects strike: the smoke gang holds node-000 and
+#: node-001, bg-0005 runs, and node-007 is the one hot spare
+DEFECT_AT = 3600.0
+
+
+def _at_defect_time(action):
+    """A defect that ``action(harness)`` applies at ``DEFECT_AT``."""
+    def defect(harness):
+        harness.engine.call_at(DEFECT_AT, lambda: action(harness))
+    return defect
+
+
+def _leak_gpus(harness):
+    harness.scheduler.__class__ = _LeakyScheduler
+
+
+def _cordon_gang_node(harness):
+    harness._by_name[min(harness.placements)].cordon()
+
+
+def _cordon_two_gang_nodes_in_reverse(harness):
+    # an unsorted scan meets the second first; the message names the first
+    first, second = sorted(harness.placements)[:2]
+    for name in (second, first):
+        harness.placements[name] = harness.placements.pop(name)
+        harness._by_name[name].cordon()
+
+
+def _roll_forward(harness):
+    # the forward record is not the newest one
+    harness.checker.record_restart(DEFECT_AT, step_at_failure=100,
+                                   restored_step=110)
+    harness.checker.record_restart(DEFECT_AT, step_at_failure=100,
+                                   restored_step=90)
+
+
+def _double_book_spare(harness):
+    pool = harness.spare_pool
+    pool.allocated[pool.available[0]] = min(harness.placements)
+
+
+def _requeue_allocated_job(harness):
+    allocation = next(iter(harness.scheduler._allocations.values()))
+    allocation.job.state = JobState.PENDING
+
+
+#: name -> (defect, the message it must raise) on smoke with one spare
+AT = f"t={DEFECT_AT:.3f}: "
+DEFECTS = {
+    "phantom-gpu": (
+        _leak_gpus, "t=17012.549: GPU accounting broken: free 8+4 "
+                    "+ cordoned 0 + allocated 21 != total 32"),
+    "cordoned-gang-node": (
+        _at_defect_time(_cordon_gang_node),
+        AT + "cordoned node node-000 still hosts pretrain-main"),
+    "two-cordoned-gang-nodes-reversed": (
+        _at_defect_time(_cordon_two_gang_nodes_in_reverse),
+        AT + "cordoned node node-000 still hosts pretrain-main"),
+    "forward-rollback": (
+        _at_defect_time(_roll_forward),
+        AT + "rollback moved forward — restored step 110 is past the "
+             "failure at step 100"),
+    "spare-available-and-allocated": (
+        _at_defect_time(_double_book_spare),
+        AT + "spare(s) both available and allocated: ['node-007']"),
+    "allocated-job-pending": (
+        _at_defect_time(_requeue_allocated_job),
+        AT + "job bg-0005 holds GPUs but is pending"),
+}
+
+
 class TestInvariants:
     def make_checker(self, total_gpus=8):
         scheduler = SchedulerSimulator(
@@ -190,6 +264,17 @@ class TestInvariants:
         harness.scheduler.__class__ = _LeakyScheduler
         with pytest.raises(InvariantViolation):
             harness.run()
+
+    @pytest.mark.parametrize("name", sorted(DEFECTS))
+    def test_defect_trips_production_and_oracle_alike(self, name):
+        """Production and the oracle in ``tests/oracles/invariants.py``
+        raise the same message on the same event; ``PairedRun`` fails
+        at the first event where they disagree."""
+        defect, expected = DEFECTS[name]
+        run = PairedRun(replace(BUNDLED_SCENARIOS["smoke"], hot_spares=1),
+                        defect)
+        assert run.violation == (run.events, expected)
+        assert run.error == expected
 
 
 class TestHarness:

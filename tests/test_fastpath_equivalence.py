@@ -85,14 +85,17 @@ def test_chrome_trace_is_valid_json(both_paths):
 def test_oracle_run_went_through_the_oracles(request, both_paths):
     """The seam is live: the oracle run really called the oracles.
 
-    Every scenario orders its queue and runs scheduling rounds; only
-    the fabric storms look up link health.  (No bundled scenario calls
-    the water-filling, so its equivalence rests on the property tests
-    in ``tests/test_network_properties.py``.)
+    Every scenario orders its queue, runs scheduling rounds and checks
+    the invariants after every engine event; only the fabric storms
+    look up link health.  (No bundled scenario calls the water-filling,
+    so its equivalence rests on the property tests in
+    ``tests/test_network_properties.py``.)
     """
     scenario = request.node.callspec.params["both_paths"]
-    calls = both_paths[1]["oracle_calls"]
+    oracle = both_paths[1]
+    calls = oracle["oracle_calls"]
     assert calls["PriorityPolicy.ordered"] > 0
     assert calls["SchedulerSimulator._try_schedule"] > 0
+    assert calls["InvariantChecker.check"] == oracle["events_processed"]
     assert (calls["LinkHealth.factor"] > 0) == (
         scenario in LINK_HEALTH_SCENARIOS)

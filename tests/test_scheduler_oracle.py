@@ -1,8 +1,8 @@
 """Differential test: the scheduler's hot paths against their reference.
 
-``SchedulerSimulator`` skips rounds that cannot start anything, keeps a
-running borrower total, asks a job's pool only when it examines the
-job, and digests the queue from cached text.  Each of
+``SchedulerSimulator`` skips rounds that cannot start anything, keeps
+running borrower and allocated totals, asks a job's pool only when it
+examines the job, and digests the queue from cached text.  Each of
 those is exact by construction; this file checks it by driving the
 simulator and the reference in ``tests/oracles/scheduler.py`` side by
 side through random submits, advances, failures, sheds and cordons,
@@ -19,7 +19,8 @@ from repro.scheduler.policy import (FifoPolicy, PriorityPolicy,
                                     ReservationPolicy)
 from repro.scheduler.simulator import SchedulerConfig, SchedulerSimulator
 
-from .oracles.scheduler import ReferenceSchedulerSimulator, borrowed_reserved
+from .oracles.scheduler import (ReferenceSchedulerSimulator, allocated_gpus,
+                                borrowed_reserved)
 
 JOB_TYPES = (JobType.PRETRAIN, JobType.SFT, JobType.DEBUG,
              JobType.EVALUATION)
@@ -62,6 +63,7 @@ class Twin:
         assert self.states["new"] == self.states["ref"]
         assert state(self.new) == state(self.ref)
         assert self.new._borrowed == borrowed_reserved(self.new)
+        assert self.new.gpus_allocated == allocated_gpus(self.new)
 
     def submit(self, job_type: JobType, demand: int, duration: float,
                delay: float = 0.0) -> str:
