@@ -9,6 +9,8 @@ stack end to end:
 * ``harness`` — wires the sim engine, the quota scheduler, a live
   pretraining gang, and the §6.1 recovery controller together, then
   replays the schedule against them;
+* ``storage`` / ``fabric`` / ``slowdown`` — the fault domains' state
+  (checkpoint storage, link health, stragglers and power caps);
 * ``invariants`` — cross-layer invariants checked after every event;
 * ``report`` — MTTF / MTTR / wasted GPU-time / recovery-rate summaries
   comparable to the paper's §6.1.2 numbers.

@@ -133,7 +133,7 @@ class InvariantChecker:
     #: (fault index, plan) for injected infrastructure failures
     infra_plans: list[tuple[int, RecoveryPlan | None]] = field(
         default_factory=list)
-    # -- storage-fault state (populated via set_storage_context) --
+    # -- storage-fault context and state --
     #: [start, end) outage windows on the checkpoint backend
     outage_windows: list[tuple[float, float]] = field(default_factory=list)
     #: scenario horizon in simulated seconds
@@ -144,19 +144,16 @@ class InvariantChecker:
     good_steps: set[int] = field(default_factory=set)
     #: steps known bad: corrupted on write or quarantined at restore
     bad_steps: set[int] = field(default_factory=set)
-    #: (time, step, ok) for every persist attempt
-    persist_records: list[tuple[float, int, bool]] = field(
-        default_factory=list)
     #: restores currently parked waiting for the backend to return
     deferred_unresolved: int = 0
     #: sum of (planned - actual) over fallback restores, per invariant 8
     fallback_lost: int = 0
-    # -- network-fault state (populated via set_network_context) --
+    # -- network-fault context and state --
     #: the fabric health overlay the scenario armed (None = no faults)
     network_health: LinkHealth | None = None
     #: NCCL-test pass threshold segment convictions are checked against
     network_min_factor: float = 0.5
-    #: live cordoned fabric segments (shared reference with the harness)
+    #: live cordoned fabric segments (shared with the fabric domain)
     cordoned_segments: set[str] = field(default_factory=set)
     #: (time, segment) for every conviction, per invariant 11
     segment_conviction_records: list[tuple[float, str]] = field(
@@ -175,14 +172,11 @@ class InvariantChecker:
     residual_stretch: Callable[[], float] | None = None
     #: live hot-spare pool (shared reference), per invariant 13
     spare_pool: HotSparePool | None = None
-    #: (time, victim, spare) for every preemptive swap
-    spare_swap_records: list[tuple[float, str, str]] = field(
-        default_factory=list)
     #: (time, node, path factor) for every node conviction by fabric
     #: localization, per invariant 14
     node_conviction_records: list[tuple[float, str, float]] = field(
         default_factory=list)
-    # -- overload/admission state (populated via set_admission_context) --
+    # -- overload/admission context (armed by ``repro.service``) --
     #: job types admission control must never touch, per invariant 15
     admission_reserved_types: frozenset = frozenset()
     #: live best-effort queue depth oracle (the service's tracker)
@@ -432,17 +426,8 @@ class InvariantChecker:
 
     # -- storage-fault bookkeeping -----------------------------------------
 
-    def set_storage_context(self, outage_windows, horizon: float,
-                            wedge_slack: float) -> None:
-        """Install the scenario's storage-fault schedule for checking."""
-        self.outage_windows = [(float(s), float(e))
-                               for s, e in outage_windows]
-        self.horizon = float(horizon)
-        self.wedge_slack = float(wedge_slack)
-
     def record_persist(self, time: float, step: int, ok: bool) -> None:
         """Log one checkpoint persist outcome."""
-        self.persist_records.append((time, step, ok))
         if ok:
             self.good_steps.add(step)
 
@@ -482,18 +467,6 @@ class InvariantChecker:
 
     # -- network-fault bookkeeping -----------------------------------------
 
-    def set_network_context(self, health: LinkHealth,
-                            min_factor: float,
-                            cordoned_segments: set[str]) -> None:
-        """Install the fabric overlay + live cordon set for checking.
-
-        ``cordoned_segments`` is the harness's live set (shared by
-        reference), so the end-of-run check sees its final state.
-        """
-        self.network_health = health
-        self.network_min_factor = float(min_factor)
-        self.cordoned_segments = cordoned_segments
-
     def record_gang_placement(self, time: float,
                               down_crossed: list[str]) -> None:
         """Invariant 9: a gang placement must not cross a downed link."""
@@ -532,19 +505,6 @@ class InvariantChecker:
 
     # -- failure-domain bookkeeping -----------------------------------------
 
-    def set_straggler_context(self, detect_bound: float) -> None:
-        """Arm the invariant-12 detection bound."""
-        self.straggler_detect_bound = float(detect_bound)
-
-    def set_residual_stretch(self,
-                             residual: Callable[[], float]) -> None:
-        """Install the harness's residual step-stretch oracle."""
-        self.residual_stretch = residual
-
-    def set_spare_context(self, pool: HotSparePool) -> None:
-        """Install the live hot-spare pool (shared reference)."""
-        self.spare_pool = pool
-
     def record_straggler(self, index: int, time: float, kind: str,
                          node: str) -> None:
         """A straggler fault armed on ``node`` (no failure log line)."""
@@ -571,20 +531,6 @@ class InvariantChecker:
 
     # -- overload/admission bookkeeping ------------------------------------
 
-    def set_admission_context(self, reserved_types: frozenset,
-                              depth_fn: Callable[[], int],
-                              depth_bound: int | None) -> None:
-        """Arm invariants 15–16 for an admission-controlled service.
-
-        ``depth_fn`` is the service's live best-effort depth tracker
-        (shared by reference, like the cordon set), sampled after
-        every engine event while ``depth_bound`` is not ``None``.
-        """
-        self.admission_reserved_types = frozenset(reserved_types)
-        self.admission_depth_fn = depth_fn
-        self.admission_depth_bound = (None if depth_bound is None
-                                      else int(depth_bound))
-
     def record_admission(self, time: float, job,
                          admitted: bool) -> None:
         """Invariant 15: reserved-class work is never rejected."""
@@ -610,7 +556,6 @@ class InvariantChecker:
     def record_spare_swap(self, time: float, victim: str,
                           spare: str) -> None:
         """Invariant 13: one preemptive swap must be coherent."""
-        self.spare_swap_records.append((time, victim, spare))
         if spare == victim:
             raise InvariantViolation(
                 f"t={time:.3f}: spare swap allocated {spare} to cover "

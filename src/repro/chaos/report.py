@@ -286,20 +286,20 @@ def summarize(harness) -> ChaosSummary:
                             if node.health.value == "faulty"),
         storage_faults=sum(count for kind, count in by_kind.items()
                            if kind in STORAGE_FAULT_KINDS),
-        checkpoints_persisted=harness.checkpoints_persisted,
-        checkpoints_degraded=harness.checkpoints_degraded,
-        checkpoints_failed=harness.checkpoints_failed,
+        checkpoints_persisted=harness.storage.checkpoints_persisted,
+        checkpoints_degraded=harness.storage.checkpoints_degraded,
+        checkpoints_failed=harness.storage.checkpoints_failed,
         ckpt_quarantined=len(harness.catalog.quarantined),
-        restore_fallbacks=harness.restore_fallbacks,
-        fallback_lost_iterations=harness.fallback_lost_iterations,
+        restore_fallbacks=harness.storage.restore_fallbacks,
+        fallback_lost_iterations=harness.storage.fallback_lost_iterations,
         restores_deferred=harness.restores_deferred,
-        storage_stall_hours=harness.storage_stall_seconds / 3600.0,
-        persist_health=harness.checkpointer.health.value,
+        storage_stall_hours=harness.storage.storage_stall_seconds / 3600.0,
+        persist_health=harness.storage.checkpointer.health.value,
         network_faults=sum(count for kind, count in by_kind.items()
                            if kind in NETWORK_FAULT_KINDS),
         segment_convictions=sum(
             harness.controller.segment_convictions.values()),
-        segments_cordoned_end=len(harness.cordoned_segments),
+        segments_cordoned_end=len(harness.fabric.cordoned_segments),
         gang_migrations=harness.gang_migrations,
         network_slowdown_hours=pretrain.slowdown_seconds / 3600.0,
         pod_faults=sum(count for kind, count in by_kind.items()
@@ -308,12 +308,12 @@ def summarize(harness) -> ChaosSummary:
                              if kind in PARTITION_FAULT_KINDS),
         straggler_faults=sum(count for kind, count in by_kind.items()
                              if kind in STRAGGLER_FAULT_KINDS),
-        stragglers_detected=harness.stragglers_detected,
-        silent_waste_gpu_hours=(harness.silent_waste_gpu_seconds
+        stragglers_detected=harness.slowdown.stragglers_detected,
+        silent_waste_gpu_hours=(harness.slowdown.silent_waste_gpu_seconds
                                 / 3600.0),
         power_cap_faults=sum(count for kind, count in by_kind.items()
                              if kind in POWER_FAULT_KINDS),
-        power_capped_hours=harness.power_capped_seconds / 3600.0,
+        power_capped_hours=harness.slowdown.power_capped_seconds / 3600.0,
         spare_swaps=spare_swaps,
         spares_available_end=spares_end,
         recovery_stages=stages,

@@ -18,7 +18,8 @@ blob-storage protocol the checkpointers persist through (``write`` /
 :class:`FlakyStorage` (outages), :class:`SlowStorage` (degraded
 bandwidth), and :class:`CorruptingStorage` (silent bit rot) — each with
 seeded randomness and/or schedulable fault windows measured against a
-pluggable :class:`MonotonicClock` / :class:`VirtualClock`.
+pluggable :class:`MonotonicClock` / :class:`VirtualClock` /
+:class:`EngineClock`.
 """
 
 from __future__ import annotations
@@ -181,6 +182,26 @@ class VirtualClock:
         self._now += seconds
 
     advance = sleep
+
+
+class EngineClock:
+    """A simulation engine's clock plus a virtual *stall offset*.
+
+    ``sleep`` (retry backoff, injected slowdown delays) only grows the
+    offset, so fault windows and retry deadlines see time advance while
+    the single-threaded simulation never blocks.  Owners reset the
+    offset around each persist/restore and charge it as stall time.
+    """
+
+    def __init__(self, engine: Engine) -> None:
+        self.engine = engine
+        self.offset = 0.0
+
+    def now(self) -> float:
+        return self.engine.now + self.offset
+
+    def sleep(self, seconds: float) -> None:
+        self.offset += seconds
 
 
 # -- fault decorators -------------------------------------------------------

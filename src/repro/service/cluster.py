@@ -32,6 +32,7 @@ from typing import Any
 
 from repro.chaos.harness import ChaosHarness, ChaosResult, event_log_line
 from repro.chaos.scenario import ChaosScenario
+from repro.cluster.storage import EngineClock, VirtualClock
 from repro.core.checkpoint import (InMemoryStorage, RetryPolicy,
                                    SyncCheckpointer)
 from repro.obs.tracer import NULL_TRACER, TracerLike
@@ -46,28 +47,6 @@ from repro.service.state import (STATE_VERSION, RollingDigest,
                                  scenario_to_dict, text_digest)
 from repro.sim.engine import EngineSnapshot
 from repro.workload.streams import ArrivalStream, stream_from_config
-
-
-class _VirtualClock:
-    """Offset-accumulating clock for the persist pipeline.
-
-    ``sleep`` (retry backoff) only grows a virtual offset — the
-    single-threaded service never blocks the wall clock, mirroring the
-    chaos harness's engine clock.  The service resets the offset
-    around each persist/restore and charges it to
-    :attr:`ClusterService.persist_stall_seconds`.
-    """
-
-    def __init__(self, base: Any = None) -> None:
-        self._base = base
-        self.offset = 0.0
-
-    def now(self) -> float:
-        base = 0.0 if self._base is None else self._base.now
-        return base + self.offset
-
-    def sleep(self, seconds: float) -> None:
-        self.offset += seconds
 
 
 def admission_log_line(entry: tuple[float, str, str]) -> str:
@@ -132,7 +111,7 @@ class ClusterService:
         self.persist_stall_seconds = 0.0
         self._storage = (InMemoryStorage() if storage is None
                          else storage)
-        self._clock = _VirtualClock(self.engine)
+        self._clock = EngineClock(self.engine)
         self._checkpointer = SyncCheckpointer(
             self._storage, retry=retry or RetryPolicy(),
             clock=self._clock, tracer=self.tracer)
@@ -167,11 +146,13 @@ class ClusterService:
         self._saturated_since: float | None = None
         if self._armed:
             self.scheduler.hooks.append(self._on_scheduler_event)
-            bound = (admission.depth_bound()
-                     if admission is not None else None)
-            self.harness.checker.set_admission_context(
-                RESERVED_TYPES,
-                lambda: len(self._queued), bound)
+            # arm invariants 15-16
+            checker = self.harness.checker
+            checker.admission_reserved_types = RESERVED_TYPES
+            checker.admission_depth_fn = lambda: len(self._queued)
+            checker.admission_depth_bound = (
+                admission.depth_bound() if admission is not None
+                else None)
         self.harness.start()
         if overload is not None:
             self.engine.call_after(overload.sweep_interval_s,
@@ -520,7 +501,7 @@ class ClusterService:
         """
         probe = SyncCheckpointer(storage,
                                  retry=retry or RetryPolicy(),
-                                 clock=_VirtualClock(), tracer=tracer)
+                                 clock=VirtualClock(), tracer=tracer)
         loaded = probe.load_at_or_before(at_or_before)
         if loaded is None:
             raise ServiceStateError(

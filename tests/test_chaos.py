@@ -474,45 +474,41 @@ class TestFailureDomainInvariants:
     """Invariants 12-14: straggler accounting, spare-pool coherence,
     and partial-partition conviction discipline."""
 
-    def make_checker(self):
+    def make_checker(self, **context):
         scheduler = SchedulerSimulator(
             SchedulerConfig(total_gpus=8, reserved_fraction=0.5))
         nodes = {f"n{i}": Node(name=f"n{i}", spec=seren_node_spec())
                  for i in range(2)}
         placements = {"n0": PRETRAIN_JOB_ID}
         return InvariantChecker(scheduler=scheduler, nodes=nodes,
-                                placements=placements)
+                                placements=placements, **context)
 
     # -- invariant 12: stragglers detected or flagged --
 
     def test_loud_straggler_detected_in_bound_passes(self):
-        checker = self.make_checker()
-        checker.horizon = 10_000.0
-        checker.set_straggler_context(3_000.0)
+        checker = self.make_checker(horizon=10_000.0,
+                                    straggler_detect_bound=3_000.0)
         checker.record_straggler(0, 100.0, "straggler", "n0")
         checker.record_straggler_detected(0, 2_000.0)
         checker.final_check()
 
     def test_detection_past_bound_is_a_violation(self):
-        checker = self.make_checker()
-        checker.set_straggler_context(3_000.0)
+        checker = self.make_checker(straggler_detect_bound=3_000.0)
         checker.record_straggler(0, 100.0, "straggler", "n0")
         with pytest.raises(InvariantViolation):
             checker.record_straggler_detected(0, 5_000.0)
 
     def test_undetected_loud_straggler_inside_horizon_is_a_violation(
             self):
-        checker = self.make_checker()
-        checker.horizon = 10_000.0
-        checker.set_straggler_context(3_000.0)
+        checker = self.make_checker(horizon=10_000.0,
+                                    straggler_detect_bound=3_000.0)
         checker.record_straggler(0, 100.0, "straggler", "n0")
         with pytest.raises(InvariantViolation):
             checker.final_check()
 
     def test_silent_degrader_must_be_flagged_as_waste(self):
-        checker = self.make_checker()
-        checker.horizon = 10_000.0
-        checker.set_straggler_context(3_000.0)
+        checker = self.make_checker(horizon=10_000.0,
+                                    straggler_detect_bound=3_000.0)
         checker.record_straggler(0, 100.0, "silent_degrader", "n1")
         with pytest.raises(InvariantViolation):
             checker.final_check()
@@ -520,9 +516,8 @@ class TestFailureDomainInvariants:
         checker.final_check()
 
     def test_bound_landing_past_horizon_tolerates_no_detection(self):
-        checker = self.make_checker()
-        checker.horizon = 2_000.0  # bound does not fit
-        checker.set_straggler_context(3_000.0)
+        checker = self.make_checker(horizon=2_000.0,  # bound does not fit
+                                    straggler_detect_bound=3_000.0)
         checker.record_straggler(0, 100.0, "straggler", "n0")
         checker.record_silent_waste(0, 0.2)
         checker.final_check()
@@ -530,28 +525,25 @@ class TestFailureDomainInvariants:
     # -- invariant 13: spare-pool coherence --
 
     def test_clean_pool_passes_per_event_check(self):
-        checker = self.make_checker()
-        checker.set_spare_context(HotSparePool(["s0", "s1"]))
+        checker = self.make_checker(spare_pool=HotSparePool(["s0", "s1"]))
         checker.check(1.0)
 
     def test_spare_both_available_and_allocated_detected(self):
-        checker = self.make_checker()
         pool = HotSparePool(["s0"])
-        checker.set_spare_context(pool)
+        checker = self.make_checker(spare_pool=pool)
         pool.allocated["s0"] = "victim"  # corrupt: never removed
         with pytest.raises(InvariantViolation):
             checker.check(1.0)
 
     def test_reserved_spare_hosting_the_gang_detected(self):
-        checker = self.make_checker()
-        checker.set_spare_context(HotSparePool(["n0"]))  # n0 is placed
+        # n0 is placed
+        checker = self.make_checker(spare_pool=HotSparePool(["n0"]))
         with pytest.raises(InvariantViolation):
             checker.check(1.0)
 
     def test_swap_record_must_match_pool_allocation(self):
-        checker = self.make_checker()
         pool = HotSparePool(["s0"])
-        checker.set_spare_context(pool)
+        checker = self.make_checker(spare_pool=pool)
         with pytest.raises(InvariantViolation):
             checker.record_spare_swap(1.0, "victim", "s0")  # not acquired
         pool.acquire("victim")

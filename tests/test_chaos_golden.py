@@ -15,14 +15,19 @@ regenerated:
         --json-out tests/data/chaos_network_storm_golden.json
     PYTHONPATH=src python -m repro chaos --scenario straggler-storm \\
         --json-out tests/data/chaos_straggler_storm_golden.json
+
+``TRACE_SHA256`` pins the same four runs' Chrome traces (every span,
+instant and counter the instrumentation emits); see ``trace_hint``.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.chaos import BUNDLED_SCENARIOS, run_scenario
+from repro.obs import Tracer, chrome_trace_json
 
 from .oracles import substitute
 
@@ -32,6 +37,18 @@ GOLDENS = {
     "storage-storm": DATA_DIR / "chaos_storage_storm_golden.json",
     "network-storm": DATA_DIR / "chaos_network_storm_golden.json",
     "straggler-storm": DATA_DIR / "chaos_straggler_storm_golden.json",
+}
+#: sha256 of ``chrome_trace_json(tracer, end_time=duration)`` for each
+#: golden scenario's seeded run
+TRACE_SHA256 = {
+    "smoke":
+        "833188f48002ac99a2d1bdfdd49db7e634ce57d833356a11a7163624929f8790",
+    "storage-storm":
+        "8611123d874aae4e1073a8613fd315775691258e9f824548425bb7a342294a5d",
+    "network-storm":
+        "b665bf657b4a4e6c1b44ccc9e27116587233a2cc453e5c566c235bc50a8404da",
+    "straggler-storm":
+        "c372844541eefe2d0b25ed806e33c5f3dbc7deb8c7b7c405333fa8afcc7f2849",
 }
 #: every golden must hold bit-for-bit on the production code ("fast")
 #: and with the oracles in tests/oracles/ swapped in ("reference")
@@ -43,6 +60,12 @@ def regen_hint(scenario):
     return (f"regenerate with: PYTHONPATH=src python -m repro chaos "
             f"--scenario {scenario} --json-out "
             f"tests/data/{GOLDENS[scenario].name}")
+
+
+def trace_hint(scenario):
+    return (f"if the change is deliberate, re-pin with the sha256 of: "
+            f"PYTHONPATH=src python -m repro trace {scenario} "
+            f"--out trace.json")
 
 
 def current_payload(scenario, oracles=False):
@@ -82,6 +105,17 @@ def test_summary_matches_golden(scenario, oracles):
         + ", ".join(f"{key}: golden={golden.get(key)!r} "
                     f"current={current.get(key)!r}" for key in drifted)
         + f"\n{regen_hint(scenario)}")
+
+
+@pytest.mark.parametrize("scenario", sorted(TRACE_SHA256))
+def test_chrome_trace_matches_pin(scenario):
+    tracer = Tracer()
+    run_scenario(BUNDLED_SCENARIOS[scenario], tracer=tracer)
+    text = chrome_trace_json(
+        tracer, end_time=BUNDLED_SCENARIOS[scenario].duration)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == TRACE_SHA256[scenario], (
+        f"Chrome trace drifted: sha256 {digest}\n{trace_hint(scenario)}")
 
 
 def test_network_storm_golden_demonstrates_localization():

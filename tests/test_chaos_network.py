@@ -73,15 +73,15 @@ class TestHarnessWiring:
         harness = ChaosHarness(storm())
         network = [f for f in harness.faults if f.target == "network"]
         assert network
-        assert not harness.link_health.empty
+        assert not harness.fabric.link_health.empty
         for fault in network:
             # every fault window is live on its link at its midpoint
             if fault.kind == "link_degraded":
                 mid = fault.time + 1.0
-                assert harness.link_health.factor(
+                assert harness.fabric.link_health.factor(
                     fault.link, mid) < 1.0
             else:
-                assert harness.link_health.is_down(
+                assert harness.fabric.link_health.is_down(
                     fault.link, fault.time + 1.0)
 
     def test_switch_down_expands_to_member_nics(self):
@@ -91,13 +91,13 @@ class TestHarnessWiring:
         fault = next(f for f in harness.faults if f.target == "network")
         leaf = int(fault.link.split(":", 1)[1])
         first = leaf * scenario.nodes_per_leaf
-        assert harness.link_health.is_down(f"nic:{first}",
-                                           fault.time + 1.0)
+        assert harness.fabric.link_health.is_down(f"nic:{first}",
+                                                  fault.time + 1.0)
 
     def test_disabled_network_faults_leave_no_overlay(self):
         harness = ChaosHarness(storm(n_network_faults=0))
-        assert harness.link_health.empty
-        assert not harness._network_aware
+        assert harness.fabric.link_health.empty
+        assert not harness.fabric.armed
 
     def test_summary_counts_zero_when_disabled(self):
         result = run_scenario(storm(n_network_faults=0))
@@ -135,7 +135,7 @@ class TestStormOutcome:
     def test_fabric_heals_by_the_horizon(self, harness, result):
         assert result.segments_cordoned_end == 0
         assert harness.pretrain.step_factor == 1.0
-        assert not harness.cordoned_segments
+        assert not harness.fabric.cordoned_segments
 
     def test_degraded_window_accrues_slowdown(self, harness, result):
         assert result.network_slowdown_hours > 0.0

@@ -102,10 +102,11 @@ class TestStorageFaultSchedule:
             ChaosScenario(name="x", storage_retry_delay=-5.0)
 
 
-def make_checker():
+def make_checker(**context):
     # record_restore / final_check never touch the scheduler state, so a
     # bare checker is enough to test the storage invariants' teeth.
-    return InvariantChecker(scheduler=None, nodes={}, placements={})
+    return InvariantChecker(scheduler=None, nodes={}, placements={},
+                            **context)
 
 
 class TestInvariantTeeth:
@@ -158,9 +159,8 @@ class TestInvariantTeeth:
             checker.final_check()
 
     def test_deferral_past_outage_plus_slack_is_wedged(self):
-        checker = make_checker()
-        checker.set_storage_context([(100.0, 200.0)], horizon=10_000.0,
-                                    wedge_slack=300.0)
+        checker = make_checker(outage_windows=[(100.0, 200.0)],
+                               horizon=10_000.0, wedge_slack=300.0)
         checker.record_restore_deferred()
         with pytest.raises(InvariantViolation, match="wedged"):
             checker.final_check()
@@ -168,9 +168,8 @@ class TestInvariantTeeth:
     def test_deferral_inside_the_last_outage_window_is_tolerated(self):
         """An outage still in flight at the horizon may legitimately
         leave a restore parked — that is not a wedge."""
-        checker = make_checker()
-        checker.set_storage_context([(9_500.0, 9_900.0)],
-                                    horizon=10_000.0, wedge_slack=300.0)
+        checker = make_checker(outage_windows=[(9_500.0, 9_900.0)],
+                               horizon=10_000.0, wedge_slack=300.0)
         checker.record_restore_deferred()
         checker.final_check()  # no raise
 
