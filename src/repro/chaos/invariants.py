@@ -183,12 +183,6 @@ class InvariantChecker:
     admission_depth_fn: Callable[[], int] | None = None
     #: the active policy's declared depth bound, per invariant 16
     admission_depth_bound: int | None = None
-    #: (time, job_id, job_type) for every shed decision
-    shed_records: list[tuple[float, str, str]] = field(
-        default_factory=list)
-    #: (time, job_id, job_type, admitted) for every admission decision
-    admission_records: list[tuple[float, str, str, bool]] = field(
-        default_factory=list)
 
     # -- per-event check ----------------------------------------------------
 
@@ -534,8 +528,6 @@ class InvariantChecker:
     def record_admission(self, time: float, job,
                          admitted: bool) -> None:
         """Invariant 15: reserved-class work is never rejected."""
-        self.admission_records.append(
-            (time, job.job_id, job.job_type.value, admitted))
         if (not admitted
                 and job.job_type in self.admission_reserved_types):
             raise InvariantViolation(
@@ -545,8 +537,6 @@ class InvariantChecker:
 
     def record_shed(self, time: float, job) -> None:
         """Invariant 15: reserved-class work is never shed."""
-        self.shed_records.append(
-            (time, job.job_id, job.job_type.value))
         if job.job_type in self.admission_reserved_types:
             raise InvariantViolation(
                 f"t={time:.3f}: load shedding hit reserved-class job "

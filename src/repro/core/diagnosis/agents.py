@@ -25,7 +25,8 @@ import re
 from dataclasses import dataclass
 
 from repro.core.diagnosis.compression import (CompressionResult,
-                                              FilterRules, LogCompressor)
+                                              FilterRules, LogCompressor,
+                                              is_protected)
 from repro.core.diagnosis.llm import LLMClient, LLMVerdict, TemplateLLM
 from repro.core.diagnosis.rules import DiagnosisRule, RuleBasedDiagnoser
 from repro.core.diagnosis.self_consistency import sample_and_vote
@@ -63,15 +64,22 @@ class LogAgent:
         self.min_support = min_support
         self.rules_written = 0
         self.tracer = tracer or NULL_TRACER
+        #: routine templates already proposed; ``FilterRules`` never
+        #: drops a rule, so proposing one again could add nothing
+        self._proposed: set[str] = set()
 
     def observe_segment(self, lines: list[str]) -> list[str]:
         """Consume a raw segment; returns the error lines found in it.
 
         Mines templates from the segment and promotes routine ones (high
-        support, no error vocabulary) to filter rules via the LLM.
+        support, no error vocabulary) to filter rules via the LLM.  The
+        error lines are the protected ones, which no filter rule drops.
         """
         self.miner.add_lines(lines)
         for template in self.miner.routine_templates(self.min_support):
+            if template.masked in self._proposed:
+                continue
+            self._proposed.add(template.masked)
             if re.search(r"(?i)(error|exception|traceback|fatal|killed)",
                          template.masked):
                 continue
@@ -79,8 +87,7 @@ class LogAgent:
             if self.rules.add(pattern):
                 self.rules_written += 1
         with self.tracer.span("diagnosis:compress", "diagnosis"):
-            compressor = LogCompressor(self.rules)
-            return compressor.compress(lines).error_lines
+            return [line for line in lines if is_protected(line)]
 
 
 class FailureAgent:
@@ -187,12 +194,13 @@ class FailureAgent:
         if reason == "Unknown":
             return
         signature = None
-        reason_patterns = getattr(self.llm, "_patterns", {}).get(reason, [])
+        reason_pattern = getattr(self.llm, "_patterns", {}).get(reason)
         for line in reversed(error_lines):
             if self._GENERIC.search(line):
                 continue
             if (reason.lower() in line.lower()
-                    or any(p.search(line) for p in reason_patterns)):
+                    or (reason_pattern is not None
+                        and reason_pattern.search(line))):
                 signature = line
                 break
         if signature is None:

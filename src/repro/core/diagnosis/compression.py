@@ -18,12 +18,26 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: Error evidence must never be filtered, whatever the rules say.
-_PROTECTED = re.compile(
+_VOCABULARY = (
     r"(error|exception|traceback|fatal|killed|abort|assert|xid|cancelled"
     r"|timeout|heartbeat|notready|refused|denied|corrupt|failure|failed"
-    r"|no space left|quota exceeded)",
-    re.IGNORECASE)
+    r"|no space left|quota exceeded)")
+#: Error evidence must never be filtered, whatever the rules say.
+_PROTECTED = re.compile(_VOCABULARY, re.IGNORECASE)
+_PROTECTED_LOWER = re.compile(_VOCABULARY)
+
+
+def is_protected(line: str) -> bool:
+    """Whether ``line`` holds error vocabulary (``_PROTECTED``).
+
+    An ASCII line is lowercased and searched case-sensitively, about ten
+    times faster than the ``IGNORECASE`` search.  Any other line keeps
+    that search, because it and ``str.lower`` disagree on letters such
+    as ``İ``, ``ı`` and ``ſ`` (``"Kılled"`` is protected).
+    """
+    if line.isascii():
+        return _PROTECTED_LOWER.search(line.lower()) is not None
+    return _PROTECTED.search(line) is not None
 
 
 class FilterRules:
@@ -45,9 +59,11 @@ class FilterRules:
         return True
 
     def matches(self, line: str) -> bool:
-        """Whether a (non-protected) line is filtered by any rule."""
-        if _PROTECTED.search(line):
-            return False
+        """Whether any rule matches ``line``.
+
+        :meth:`LogCompressor.compress` keeps protected lines before it
+        asks, so no rule can filter error evidence.
+        """
         return any(regex.search(line) for regex in self._compiled)
 
     def __len__(self) -> int:
@@ -110,11 +126,11 @@ class LogCompressor:
         input_bytes = 0
         for line in lines:
             input_bytes += len(line) + 1
-            if self.rules.matches(line):
+            if is_protected(line):
+                errors.append(line)
+            elif self.rules.matches(line):
                 continue
             kept.append(line)
-            if _PROTECTED.search(line):
-                errors.append(line)
         output_bytes = sum(len(line) + 1 for line in kept)
         return CompressionResult(
             kept_lines=kept,

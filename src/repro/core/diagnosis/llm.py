@@ -80,20 +80,19 @@ _MITIGATIONS: dict[FailureCategory, str] = {
 }
 
 
-def _keyword_patterns() -> dict[str, list[re.Pattern]]:
-    """Per-reason matchers derived from the known signature corpus."""
-    patterns: dict[str, list[re.Pattern]] = {}
+def _keyword_patterns() -> dict[str, list[str]]:
+    """Per-reason regexes derived from the known signature corpus."""
+    patterns: dict[str, list[str]] = {}
     for reason, signatures in REASON_SIGNATURES.items():
-        compiled = []
+        sources = []
         for signature in signatures:
             # Match on the distinctive head of the signature, not exact
             # payloads (addresses, paths and ranks vary).
             head = re.escape(signature[:48])
-            head = re.sub(r"\\\d+", r"\\d+", head)
-            compiled.append(re.compile(head[:200]))
+            sources.append(re.sub(r"\d+", r"\\d+", head))
         # Also match the bare exception name when it leads a line.
-        compiled.append(re.compile(rf"(?:^|\s){re.escape(reason)}\b"))
-        patterns[reason] = compiled
+        sources.append(rf"(?:^|\s){re.escape(reason)}\b")
+        patterns[reason] = sources
     return patterns
 
 
@@ -110,20 +109,32 @@ class TemplateLLM:
             raise ValueError("temperature must be non-negative")
         self.temperature = temperature
         self.rng = np.random.default_rng(seed)
-        self._patterns = _keyword_patterns()
+        #: one alternation per reason: a line is evidence for a reason
+        #: when any of that reason's regexes matches it
+        self._patterns = {
+            reason: re.compile("|".join(f"(?:{source})"
+                                        for source in sources))
+            for reason, sources in _keyword_patterns().items()}
         self._taxonomy = taxonomy_by_reason()
         self.calls = 0
+        #: the evidence last scored and its scores; self-consistency
+        #: samples and the final verdict all score the same lines
+        self._scored: tuple[tuple[str, ...], dict[str, float]] = ((), {})
 
     def _score(self, error_lines: list[str]) -> dict[str, float]:
+        evidence = tuple(error_lines)
+        if evidence == self._scored[0]:
+            return self._scored[1]
         scores: dict[str, float] = {}
         n = max(len(error_lines), 1)
         for index, line in enumerate(error_lines):
             recency = 0.5 + 1.5 * (index + 1) / n  # later lines weigh more
-            for reason, patterns in self._patterns.items():
-                if any(p.search(line) for p in patterns):
+            for reason, pattern in self._patterns.items():
+                if pattern.search(line):
                     weight = _SPECIFICITY.get(reason, _DEFAULT_SPECIFICITY)
                     scores[reason] = (scores.get(reason, 0.0)
                                       + weight * recency)
+        self._scored = (evidence, scores)
         return scores
 
     def classify_error(self, error_lines: list[str]) -> LLMVerdict:

@@ -17,11 +17,12 @@ import pytest
 
 from repro.chaos.invariants import InvariantChecker
 from repro.cluster.linkhealth import LinkHealth
+from repro.core.diagnosis import LogAgent, LogCompressor, TemplateLLM
 from repro.scheduler.policy import PriorityPolicy
 from repro.scheduler.simulator import SchedulerSimulator
 from repro.service.state import RollingDigest
 
-from . import invariants
+from . import diagnosis, invariants
 from .linkhealth import factor_scan
 from .network import max_min_fair_rates_scalar
 from .scheduler import ReferenceSchedulerSimulator, ordered_by_sort
@@ -60,4 +61,10 @@ def substitute(monkeypatch: pytest.MonkeyPatch) -> Counter[str]:
         "RollingDigest.hexdigest", full_text_digest))
     monkeypatch.setattr(InvariantChecker, "check", counted(
         "InvariantChecker.check", invariants.check))
+    monkeypatch.setattr(LogCompressor, "compress", counted(
+        "LogCompressor.compress", diagnosis.compress))
+    monkeypatch.setattr(LogAgent, "observe_segment", counted(
+        "LogAgent.observe_segment", diagnosis.observe_segment))
+    monkeypatch.setattr(TemplateLLM, "_score", counted(
+        "TemplateLLM._score", diagnosis.score))
     return calls

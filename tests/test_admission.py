@@ -51,6 +51,10 @@ def overload_streams(rate_per_hour=100.0):
     ]
 
 
+#: the job type each stream of ``overload_streams`` emits
+STREAM_TYPES = {"debug": JobType.DEBUG, "evals": JobType.EVALUATION}
+
+
 def saturated_service(policy=None, overload=TIGHT, storage=None):
     return ClusterService(
         BUNDLED_SCENARIOS["smoke"], streams=overload_streams(),
@@ -180,9 +184,10 @@ class TestServiceOverload:
         assert service.jobs_shed > 0
         assert service.chains_deferred > 0
         # shed victims are all best-effort (invariant 15 held live, so
-        # this re-checks the recorded evidence)
-        for _, job_id, job_type in service.harness.checker.shed_records:
-            assert JobType(job_type) not in RESERVED_TYPES
+        # this re-checks the scheduler's record of them)
+        assert len(service.scheduler.shed) == service.jobs_shed
+        for job in service.scheduler.shed:
+            assert job.job_type not in RESERVED_TYPES
 
     def test_bounded_queue_under_cap_policy(self):
         service = saturated_service(QueueDepthCapPolicy(max_depth=10))
@@ -258,12 +263,13 @@ class TestServiceOverload:
             admission=WeightedQuotaPolicy(slots=10), overload=TIGHT)
         service.advance(min(2.0 * 3600.0,
                             service.scenario.duration))
-        for _, job_id, job_type in service.harness.checker.shed_records:
-            assert JobType(job_type) not in RESERVED_TYPES
-        for record in service.harness.checker.admission_records:
-            _, _, job_type, admitted = record
-            if JobType(job_type) in RESERVED_TYPES:
-                assert admitted
+        for job in service.scheduler.shed:
+            assert job.job_type not in RESERVED_TYPES
+        # a reject line names its source stream, which fixes the type
+        rejected = {STREAM_TYPES[detail.split()[1].removeprefix("source=")]
+                    for _, kind, detail in service.admission_log
+                    if kind == "reject"}
+        assert rejected and not rejected & RESERVED_TYPES
 
 
 class TestSnapshotMidSaturation:

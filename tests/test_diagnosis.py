@@ -1,5 +1,7 @@
 """Tests for the failure-diagnosis pipeline (§6.1, design 2)."""
 
+import re
+
 import pytest
 
 from repro.core.diagnosis import (DiagnosisSystem, FilterRules, LogAgent,
@@ -112,7 +114,24 @@ class TestLogAgent:
         assert any("ValueError" in line for line in errors)
 
 
+#: corpus signatures whose 48-character matching head holds a rank, a
+#: pid, an errno, a job id or a PCI address
+NUMBERED_SIGNATURES = [
+    pytest.param(reason, signature, id=f"{reason}-{index}")
+    for reason, signatures in REASON_SIGNATURES.items()
+    for index, signature in enumerate(signatures)
+    if re.search(r"\d", signature[:48])]
+
+
 class TestLLM:
+    @pytest.mark.parametrize("reason,signature", NUMBERED_SIGNATURES)
+    def test_signature_heads_generalize_their_digits(self, reason,
+                                                     signature):
+        shifted = re.sub(r"\d+", lambda run: str(int(run[0]) * 3 + 7),
+                         signature)
+        assert shifted != signature
+        assert TemplateLLM().classify_error([shifted]).reason == reason
+
     def test_classifies_each_reason_from_its_signature(self):
         llm = TemplateLLM()
         for reason, signatures in REASON_SIGNATURES.items():

@@ -26,6 +26,9 @@ from .oracles import substitute
 SCENARIOS = sorted(BUNDLED_SCENARIOS)
 #: scenarios whose fabric faults make the link-health lookup run
 LINK_HEALTH_SCENARIOS = {"network-storm", "partition-storm"}
+#: scenarios with a diagnosis that the rules miss, so the LLM scores it
+AGENT_PATH_SCENARIOS = {"flaky-node", "infra-storm", "mixed",
+                        "network-storm", "storage-storm"}
 
 
 def run_traced(scenario_name):
@@ -85,10 +88,11 @@ def test_chrome_trace_is_valid_json(both_paths):
 def test_oracle_run_went_through_the_oracles(request, both_paths):
     """The seam is live: the oracle run really called the oracles.
 
-    Every scenario orders its queue, runs scheduling rounds and checks
-    the invariants after every engine event; only the fabric storms
-    look up link health.  (No bundled scenario calls the water-filling,
-    so its equivalence rests on the property tests in
+    Every scenario orders its queue, runs scheduling rounds, checks
+    the invariants after every engine event and diagnoses at least one
+    failure log; only the fabric storms look up link health, and five
+    scenarios ask the LLM.  (No bundled scenario calls the
+    water-filling, so its equivalence rests on the property tests in
     ``tests/test_network_properties.py``.)
     """
     scenario = request.node.callspec.params["both_paths"]
@@ -99,3 +103,7 @@ def test_oracle_run_went_through_the_oracles(request, both_paths):
     assert calls["InvariantChecker.check"] == oracle["events_processed"]
     assert (calls["LinkHealth.factor"] > 0) == (
         scenario in LINK_HEALTH_SCENARIOS)
+    assert calls["LogAgent.observe_segment"] > 0
+    assert calls["LogCompressor.compress"] > 0
+    assert (calls["TemplateLLM._score"] > 0) == (
+        scenario in AGENT_PATH_SCENARIOS)
