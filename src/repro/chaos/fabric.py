@@ -19,6 +19,12 @@ from repro.cluster.linkhealth import (LinkHealth, leaf_link, nic_link,
 from repro.core.recovery import FabricCollectiveTester
 from repro.failures.taxonomy import FABRIC_FAULT_KINDS
 
+#: NCCL-test pass threshold: a link, path or segment below this
+#: bandwidth factor fails probes, and the gang migrates off it
+MIN_FACTOR = 0.5
+#: bandwidth fraction a degraded link keeps for its fault window
+DEGRADED_FACTORS = {"link_degraded": 0.35, "pod_link_degraded": 0.35}
+
 
 class FabricDomain:
     """Live fabric health over the scenario's fat tree."""
@@ -26,8 +32,6 @@ class FabricDomain:
     def __init__(self, scenario: ChaosScenario,
                  faults: Sequence[InjectedFault],
                  names: Sequence[str]) -> None:
-        #: NCCL-test pass threshold for links, paths and segments
-        self.min_factor = scenario.network_min_factor
         self.config = FatTreeConfig(
             nodes=scenario.n_nodes,
             nodes_per_leaf=scenario.nodes_per_leaf,
@@ -43,8 +47,6 @@ class FabricDomain:
              for leaf in range(self.config.leaf_count)}
             if self.config.pod_count > 1 else None)
         self.link_health = LinkHealth()
-        degraded = {"link_degraded": scenario.link_degraded_factor,
-                    "pod_link_degraded": scenario.pod_link_degraded_factor}
         fabric_faults = [fault for fault in faults
                          if fault.kind in FABRIC_FAULT_KINDS]
         for fault in fabric_faults:
@@ -52,9 +54,10 @@ class FabricDomain:
             if fault.link is None:
                 raise ValueError(
                     f"network fault {fault.kind} has no link target")
-            if fault.kind in degraded:
+            if fault.kind in DEGRADED_FACTORS:
                 self.link_health.link_degraded(
-                    fault.link, fault.time, end, degraded[fault.kind])
+                    fault.link, fault.time, end,
+                    DEGRADED_FACTORS[fault.kind])
             elif fault.kind == "partial_partition":
                 # asymmetric degradation: each NIC in the partition set
                 # gets its own factor, some above the health threshold
@@ -110,7 +113,7 @@ class FabricDomain:
         return FabricCollectiveTester(
             self.leaf_of, node_factors=node_factors,
             segment_factors=segment_factors,
-            min_factor=self.min_factor, pod_of_leaf=self.pod_of_leaf)
+            min_factor=MIN_FACTOR, pod_of_leaf=self.pod_of_leaf)
 
     def path_factor(self, name: str, now: float) -> float:
         """Weakest segment (NIC, leaf uplink, pod uplink) of one node's
@@ -127,15 +130,13 @@ class FabricDomain:
     def heal(self, now: float) -> list[str]:
         """Uncordon and return the segments back above the threshold."""
         healed = [segment for segment in sorted(self.cordoned_segments)
-                  if self.link_health.factor(segment, now)
-                  >= self.min_factor]
+                  if self.link_health.factor(segment, now) >= MIN_FACTOR]
         self.cordoned_segments.difference_update(healed)
         return healed
 
     def _segment_ok(self, segment: str, now: float) -> bool:
         return (segment not in self.cordoned_segments
-                and self.link_health.factor(segment, now)
-                >= self.min_factor)
+                and self.link_health.factor(segment, now) >= MIN_FACTOR)
 
     def place(self, candidates: Sequence[str], need: int,
               now: float) -> list[str] | None:
@@ -152,7 +153,7 @@ class FabricDomain:
         healthy = [name for name in candidates
                    if (self.link_health.factor(
                        nic_link(self.node_index[name]), now)
-                       >= self.min_factor)]
+                       >= MIN_FACTOR)]
         if len(healthy) < need:
             return None
         if need == 1:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chaos.fabric import FabricDomain
+from repro.chaos.fabric import MIN_FACTOR, FabricDomain
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.report import ChaosSummary, summarize
 from repro.chaos.scenario import (GPUS_PER_NODE, ChaosScenario,
@@ -39,7 +39,8 @@ from repro.cluster.machine import Node, NodeHealth, seren_node_spec
 from repro.core.diagnosis import DiagnosisSystem
 from repro.core.recovery import (AnomalyEvent, CheckpointCatalog,
                                  CollectiveTester, RecoveryController)
-from repro.core.recovery.controller import HotSparePool, RecoveryPlan
+from repro.core.recovery.controller import (STRAGGLER_CONVICTION_FACTOR,
+                                            HotSparePool, RecoveryPlan)
 from repro.failures.logs import LogGenerator
 from repro.failures.taxonomy import (FABRIC_FAULT_KINDS,
                                      POWER_FAULT_KINDS,
@@ -54,6 +55,29 @@ from repro.sim.engine import Engine, SimulationError
 from repro.training.pretrain import PretrainProcess
 
 PRETRAIN_JOB_ID = "pretrain-main"
+
+#: the gang's nominal seconds per iteration, its iteration budget and
+#: its checkpoint cadence in steps
+STEP_TIME = 15.0
+TOTAL_ITERATIONS = 1_000_000
+STEPS_PER_CHECKPOINT = 120
+#: detection + two-round NCCL test + reschedule, seconds (§6.1: the
+#: automatic system restarts within minutes)
+RESTART_DELAY = 300.0
+#: time until a cordoned (not escalated) node is repaired and returns
+#: to service; faulty nodes never return
+REPAIR_DELAY = 2.0 * 3600.0
+#: how long a deferred restore waits before retrying the backend
+STORAGE_RETRY_DELAY = 600.0
+#: how long monitoring takes to notice a slow (not dead) gang link
+DEGRADED_DETECT_DELAY = 900.0
+#: seconds between decay steps of a straggling node's contribution
+STRAGGLER_RAMP_INTERVAL = 600.0
+#: seconds between monitoring probes of the observed step time
+STRAGGLER_PROBE_INTERVAL = 300.0
+#: invariant 12's bound: a loud straggler must be detected within this
+#: window of injection (or the run fails its invariants)
+STRAGGLER_DETECT_BOUND = 2.5 * 3600.0
 
 #: fabric fault kinds that degrade bandwidth without severing it; the
 #: gang keeps stepping (stretched) until monitoring detects and reacts
@@ -141,14 +165,12 @@ class ChaosHarness:
         if scenario.hot_spares > 0:
             self.spare_pool = HotSparePool(
                 [node.name for node in self.nodes[-scenario.hot_spares:]],
-                swap_delay=scenario.spare_swap_delay,
-                reschedule_delay=scenario.restart_delay,
+                reschedule_delay=RESTART_DELAY,
                 gang_gpus=scenario.pretrain_gpus)
         self.pretrain = PretrainProcess(
             engine=self.engine, name=PRETRAIN_JOB_ID,
-            step_time=scenario.step_time,
-            total_iterations=scenario.total_iterations,
-            steps_per_checkpoint=scenario.steps_per_checkpoint,
+            step_time=STEP_TIME, total_iterations=TOTAL_ITERATIONS,
+            steps_per_checkpoint=STEPS_PER_CHECKPOINT,
             on_checkpoint=self._on_checkpoint, on_done=self._on_done,
             tracer=self.tracer)
 
@@ -174,12 +196,10 @@ class ChaosHarness:
             placements=self.placements, pretrain=self.pretrain,
             outage_windows=self.storage.outage_windows,
             horizon=scenario.duration,
-            wedge_slack=(scenario.storage_retry_delay
-                         + scenario.restart_delay),
+            wedge_slack=STORAGE_RETRY_DELAY + RESTART_DELAY,
             network_health=self.fabric.link_health,
-            network_min_factor=scenario.network_min_factor,
             cordoned_segments=self.fabric.cordoned_segments,
-            straggler_detect_bound=scenario.straggler_detect_bound,
+            straggler_detect_bound=STRAGGLER_DETECT_BOUND,
             residual_stretch=self.slowdown.stretch,
             spare_pool=self.spare_pool)
         self.engine.add_listener(self.checker.check)
@@ -256,7 +276,7 @@ class ChaosHarness:
                                 lambda i=index, f=fault:
                                 self._inject(i, f))
         if self.slowdown.has_stragglers:
-            self.engine.call_after(scenario.straggler_probe_interval,
+            self.engine.call_after(STRAGGLER_PROBE_INTERVAL,
                                    self._straggler_probe)
 
     def advance(self, until: float) -> float:
@@ -461,7 +481,7 @@ class ChaosHarness:
             # monitoring notices and reacts
             self._refresh_gang_factor()
             self.engine.call_after(
-                self.scenario.degraded_detect_delay,
+                DEGRADED_DETECT_DELAY,
                 lambda i=index, f=fault: self._detect_degradation(i, f))
             return
         self._hard_network_fault(index, fault)
@@ -496,10 +516,10 @@ class ChaosHarness:
         if len(self.placements) <= 1:
             return
         factor = self.fabric.factor(self.placements, self.engine.now)
-        if factor >= self.scenario.network_min_factor:
+        if factor >= MIN_FACTOR:
             self._log("degradation_tolerated",
                       f"#{index} gang factor {factor:.3f} at or above "
-                      f"threshold {self.scenario.network_min_factor}")
+                      f"threshold {MIN_FACTOR}")
             return
         # The gang is communication-bound on a sick path: pause (the
         # iteration in flight is kept — this is a migration, not a
@@ -510,7 +530,7 @@ class ChaosHarness:
         if plan.cordoned_nodes or plan.cordoned_segments:
             self.checker.record_infra_plan(index, plan)
         # detection genuinely lagged injection here: the window opened
-        # at fault.time, monitoring fired degraded_detect_delay later
+        # at fault.time, monitoring fired DEGRADED_DETECT_DELAY later
         recovery = self._open_recovery(index, fault, plan,
                                        injected=fault.time)
         self._restart_pretrain(step, step, recovery, restore=False)
@@ -571,7 +591,7 @@ class ChaosHarness:
         state = self.slowdown.add_straggler(
             index, fault, hosts[fault.node_index % len(hosts)],
             self.checker)
-        self.engine.call_after(self.scenario.straggler_ramp_interval,
+        self.engine.call_after(STRAGGLER_RAMP_INTERVAL,
                                lambda s=state: self._straggler_ramp(s))
 
     def _straggler_ramp(self, state: StragglerState) -> None:
@@ -580,12 +600,12 @@ class ChaosHarness:
             return
         if self.slowdown.ramp(state):
             self._refresh_gang_factor()
-        self.engine.call_after(self.scenario.straggler_ramp_interval,
+        self.engine.call_after(STRAGGLER_RAMP_INTERVAL,
                                lambda s=state: self._straggler_ramp(s))
 
     def _straggler_probe(self) -> None:
         """Periodic step-time sample feeding the deviation detector."""
-        self.engine.call_after(self.scenario.straggler_probe_interval,
+        self.engine.call_after(STRAGGLER_PROBE_INTERVAL,
                                self._straggler_probe)
         if self.slowdown.probe():
             self._convict_stragglers()
@@ -594,7 +614,7 @@ class ChaosHarness:
         """DCGM scan after a deviation fired: convict the slow nodes."""
         now = self.engine.now
         node_factors = self.slowdown.suspects()
-        threshold = self.scenario.straggler_conviction_factor
+        threshold = STRAGGLER_CONVICTION_FACTOR
         slow = sorted(name for name, factor in node_factors.items()
                       if factor < threshold)
         if not slow:
@@ -607,8 +627,7 @@ class ChaosHarness:
         step = self._interrupt(
             "straggler", f"reason=straggler nodes={','.join(slow)}")
         plan = self.controller.handle_straggler(
-            f"step-time deviation at step {step}", node_factors,
-            min_factor=threshold)
+            f"step-time deviation at step {step}", node_factors)
         self._log_plan(plan)
         convicted = self.slowdown.convict(plan, self.checker)
         if convicted:
@@ -695,8 +714,7 @@ class ChaosHarness:
             node = self._by_name[name]
             if node.health is NodeHealth.CORDONED:
                 self.engine.call_after(
-                    self.scenario.repair_delay,
-                    lambda n=name: self._repair(n))
+                    REPAIR_DELAY, lambda n=name: self._repair(n))
         cordoned = self.fabric.cordoned_segments
         for segment in sorted(plan.cordoned_segments - cordoned):
             cordoned.add(segment)
@@ -771,7 +789,7 @@ class ChaosHarness:
         self._refresh_gang_factor()
         delay = (self.spare_pool.swap_delay
                  if via_swap and self.spare_pool is not None
-                 else self.scenario.restart_delay)
+                 else RESTART_DELAY)
         resume_at = now + delay
         recovery.resume_time = resume_at
         if recovery.span is not None:
@@ -822,12 +840,12 @@ class ChaosHarness:
         if not recovery.deferred:
             recovery.deferred = True
             self.checker.record_restore_deferred()
-        retry_at = self.engine.now + self.scenario.storage_retry_delay
+        retry_at = self.engine.now + STORAGE_RETRY_DELAY
         self._log("restore_deferred",
                   f"step={step} retry_at={retry_at:.3f} "
                   "(storage unreachable)")
         self.engine.call_after(
-            self.scenario.storage_retry_delay,
+            STORAGE_RETRY_DELAY,
             lambda: self._restart_pretrain(step, step_at_failure,
                                            recovery))
 
@@ -857,7 +875,7 @@ class ChaosHarness:
             job_id=f"{job.job_id}.r{self.resubmissions}",
             cluster=job.cluster,
             job_type=job.job_type,
-            submit_time=self.engine.now + self.scenario.restart_delay,
+            submit_time=self.engine.now + RESTART_DELAY,
             duration=job.duration,
             gpu_demand=job.gpu_demand,
             final_status=FinalStatus.COMPLETED,

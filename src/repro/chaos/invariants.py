@@ -82,6 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.chaos.fabric import MIN_FACTOR
 from repro.cluster.linkhealth import LinkHealth
 from repro.cluster.machine import Node, NodeHealth
 from repro.core.recovery.controller import HotSparePool, RecoveryPlan
@@ -152,15 +153,9 @@ class InvariantChecker:
     #: the fabric health overlay the scenario armed (None = no faults)
     network_health: LinkHealth | None = None
     #: NCCL-test pass threshold segment convictions are checked against
-    network_min_factor: float = 0.5
+    network_min_factor: float = MIN_FACTOR
     #: live cordoned fabric segments (shared with the fabric domain)
     cordoned_segments: set[str] = field(default_factory=set)
-    #: (time, segment) for every conviction, per invariant 11
-    segment_conviction_records: list[tuple[float, str]] = field(
-        default_factory=list)
-    #: (time, down links crossed) for every gang placement, invariant 9
-    gang_placement_records: list[tuple[float, tuple[str, ...]]] = field(
-        default_factory=list)
     # -- failure-domain state (stragglers / spares / convictions) --
     #: fault index -> straggler lifecycle record, per invariant 12
     straggler_records: dict[int, StragglerRecord] = field(
@@ -172,10 +167,6 @@ class InvariantChecker:
     residual_stretch: Callable[[], float] | None = None
     #: live hot-spare pool (shared reference), per invariant 13
     spare_pool: HotSparePool | None = None
-    #: (time, node, path factor) for every node conviction by fabric
-    #: localization, per invariant 14
-    node_conviction_records: list[tuple[float, str, float]] = field(
-        default_factory=list)
     # -- overload/admission context (armed by ``repro.service``) --
     #: job types admission control must never touch, per invariant 15
     admission_reserved_types: frozenset = frozenset()
@@ -464,7 +455,6 @@ class InvariantChecker:
     def record_gang_placement(self, time: float,
                               down_crossed: list[str]) -> None:
         """Invariant 9: a gang placement must not cross a downed link."""
-        self.gang_placement_records.append((time, tuple(down_crossed)))
         if down_crossed:
             raise InvariantViolation(
                 f"t={time:.3f}: gang placed across downed link(s) "
@@ -473,7 +463,6 @@ class InvariantChecker:
     def record_segment_conviction(self, time: float,
                                   segment: str) -> None:
         """Invariant 11: only actually-sick segments get convicted."""
-        self.segment_conviction_records.append((time, segment))
         if self.network_health is None:
             raise InvariantViolation(
                 f"t={time:.3f}: segment {segment} convicted with no "
@@ -488,7 +477,6 @@ class InvariantChecker:
     def record_node_conviction(self, time: float, name: str,
                                path_factor: float) -> None:
         """Invariant 14: convicted nodes must have a sick fabric path."""
-        self.node_conviction_records.append((time, name, path_factor))
         if path_factor >= self.network_min_factor:
             raise InvariantViolation(
                 f"t={time:.3f}: localization convicted node {name} "

@@ -216,12 +216,12 @@ def summarize(harness) -> ChaosSummary:
 
     pretrain = harness.pretrain
     elapsed = pretrain.done_at or harness.engine.now
-    goodput = (pretrain.iteration * scenario.step_time / elapsed
+    goodput = (pretrain.iteration * pretrain.step_time / elapsed
                if elapsed > 0 else 0.0)
     # Slowdown is waste too: the gang held its GPUs while every step
     # ran stretched on a degraded fabric (§5.2's "slow" failure mode).
     wasted_gpu_seconds = (
-        pretrain.lost_iterations * scenario.step_time
+        pretrain.lost_iterations * pretrain.step_time
         * scenario.pretrain_gpus
         + harness.pretrain_downtime * scenario.pretrain_gpus
         + pretrain.slowdown_seconds * scenario.pretrain_gpus

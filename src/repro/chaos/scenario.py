@@ -36,6 +36,28 @@ from repro.scheduler.job import Job, JobType
 #: GPUs per node throughout (Table 1: 8x A100 per node).
 GPUS_PER_NODE = 8
 
+# Fault-window shapes, read by the schedule builders below.  Lengths
+# are in seconds; ``ckpt_corruption`` windows last the scenario's
+# ``ckpt_corruption_duration``.
+STORAGE_OUTAGE_DURATION = 1800.0
+STORAGE_SLOWDOWN_DURATION = 3600.0
+NETWORK_FAULT_DURATIONS = {"link_down": 1800.0, "link_degraded": 3600.0,
+                           "switch_down": 1200.0}
+#: relative weights of (pod_link_down, pod_link_degraded) draws
+POD_FAULT_MIX = (0.5, 0.5)
+POD_FAULT_DURATIONS = {"pod_link_down": 1800.0,
+                       "pod_link_degraded": 3600.0}
+PARTITION_DURATION = 2700.0
+#: NICs per partition; even positions degrade to the low factor, below
+#: the NCCL pass threshold, odd ones to the high factor, above it (the
+#: asymmetry)
+PARTITION_SIZE = 3
+PARTITION_LOW_FACTOR = 0.3
+PARTITION_HIGH_FACTOR = 0.8
+POWER_CAP_DURATION = 3600.0
+#: facility cap fed to the PowerCappingModel curve
+POWER_CAP_WATTS = 300.0
+
 
 @dataclass(frozen=True)
 class InjectedFault:
@@ -93,6 +115,10 @@ class ChaosScenario:
     (``pretrain_gpus / 8`` nodes), the scheduler pool
     (``scheduler_gpus / 8`` nodes), and the remainder as hot spares the
     gang re-places onto when one of its nodes is cordoned.
+
+    Fields are what a scenario or CLI flag varies; fault-window shapes,
+    delays and thresholds are constants beside the module that reads
+    them (this one's schedule builders, the harness and its domains).
     """
 
     name: str
@@ -101,9 +127,6 @@ class ChaosScenario:
     duration: float = 24.0 * 3600.0
     # -- pretraining gang --
     pretrain_gpus: int = 32
-    step_time: float = 15.0
-    total_iterations: int = 1_000_000
-    steps_per_checkpoint: int = 120
     # -- background best-effort jobs --
     scheduler_gpus: int = 64
     n_background_jobs: int = 24
@@ -113,12 +136,6 @@ class ChaosScenario:
     hang_fraction: float = 0.125
     #: fraction of taxonomy failures aimed at the gang (vs the pool)
     pretrain_target_fraction: float = 0.6
-    #: detection + two-round NCCL test + reschedule, seconds (§6.1: the
-    #: automatic system restarts within minutes)
-    restart_delay: float = 300.0
-    #: time until a cordoned (not escalated) node is repaired and returns
-    #: to service; faulty nodes never return
-    repair_delay: float = 2.0 * 3600.0
     #: restrict taxonomy sampling to one category (None = all)
     category_filter: str | None = None
     #: pin every fault to one victim node (repeat-offender scenarios)
@@ -127,92 +144,34 @@ class ChaosScenario:
     n_storage_faults: int = 0
     #: relative weights of (outage, slowdown, corruption) draws
     storage_fault_mix: tuple[float, float, float] = (0.4, 0.3, 0.3)
-    storage_outage_duration: float = 1800.0
-    storage_slowdown_duration: float = 3600.0
-    #: added clock-seconds per read/write during a slowdown window
-    storage_slowdown_delay: float = 20.0
     ckpt_corruption_duration: float = 2400.0
-    #: how long a deferred restore waits before retrying the backend
-    storage_retry_delay: float = 600.0
-    #: total clock budget one persist may burn across retries
-    storage_persist_deadline: float = 120.0
     # -- network fault schedule (degrades the fabric) --
     n_network_faults: int = 0
     #: relative weights of (link_down, link_degraded, switch_down)
     network_fault_mix: tuple[float, float, float] = (0.45, 0.35, 0.2)
-    link_down_duration: float = 1800.0
-    link_degraded_duration: float = 3600.0
-    #: bandwidth fraction a degraded link retains during its window
-    link_degraded_factor: float = 0.35
-    switch_down_duration: float = 1200.0
-    #: how long monitoring takes to notice a slow (not dead) gang link
-    degraded_detect_delay: float = 900.0
-    #: NCCL-test pass threshold: a path below this factor fails probes,
-    #: and the gang migrates off segments this sick
-    network_min_factor: float = 0.5
     #: fat-tree leaf domain size for chaos runs (kept small so modest
     #: fleets still span several leaves and uplink faults matter)
     nodes_per_leaf: int = 4
-    #: aim network faults at links the gang crosses (vs the whole
-    #: fabric) — mirrors pretrain_target_fraction for the fabric axis
-    network_target_gang: bool = True
     #: fat-tree pod domain size in leaves; the default matches
     #: FatTreeConfig so legacy scenarios keep a single-pod fabric
     leaves_per_pod: int = 8
-    # -- pod (core-tier) fault schedule --
+    # -- pod (core-tier) and partial-partition fault schedules --
     n_pod_faults: int = 0
-    #: relative weights of (pod_link_down, pod_link_degraded)
-    pod_fault_mix: tuple[float, float] = (0.5, 0.5)
-    pod_link_down_duration: float = 1800.0
-    pod_link_degraded_duration: float = 3600.0
-    #: bandwidth fraction a degraded pod uplink retains
-    pod_link_degraded_factor: float = 0.35
-    # -- partial-partition fault schedule --
     n_partition_faults: int = 0
-    partition_duration: float = 2700.0
-    #: NICs per partition; even positions degrade below the NCCL pass
-    #: threshold, odd positions stay above it (the asymmetry)
-    partition_size: int = 3
-    partition_low_factor: float = 0.3
-    partition_high_factor: float = 0.8
     # -- straggler / silent-degrader schedule --
     n_straggler_faults: int = 0
     #: probability a straggler fault is a silent degrader (stays under
     #: the deviation-detection threshold; flagged as silent waste)
     straggler_silent_fraction: float = 0.35
-    #: seconds between decay steps of a straggling node's contribution
-    straggler_ramp_interval: float = 600.0
-    #: per-ramp multiplicative decay and floor for loud stragglers
-    straggler_decay: float = 0.88
-    straggler_floor: float = 0.45
-    #: gentler decay/floor for silent degraders — the floor's stretch
-    #: (1/0.9 ≈ 1.11) stays below the detection threshold
-    silent_decay: float = 0.97
+    #: step-contribution floor a silent degrader decays to — its
+    #: stretch (1/0.9 ≈ 1.11) stays below the detection threshold
     silent_floor: float = 0.90
-    #: seconds between monitoring probes of the observed step time
-    straggler_probe_interval: float = 300.0
-    #: observed/nominal step-time ratio that counts as deviation
-    straggler_detect_threshold: float = 1.15
-    #: consecutive deviant probes before the detector fires
-    straggler_detect_patience: int = 2
-    #: DCGM-scan conviction threshold: nodes measured below this step
-    #: contribution are cordoned after a deviation fires
-    straggler_conviction_factor: float = 0.95
-    #: invariant 12's bound: a loud straggler must be detected within
-    #: this window of injection (or the run fails its invariants)
-    straggler_detect_bound: float = 2.5 * 3600.0
     # -- power-capping schedule --
     n_power_faults: int = 0
-    power_cap_duration: float = 3600.0
-    #: facility cap fed to the PowerCappingModel curve
-    power_cap_watts: float = 300.0
     # -- hot-spare pool --
     #: spare-role nodes kept warm for preemptive migration (taken from
     #: the tail of the fleet); 0 = always gang-reschedule
     hot_spares: int = 0
-    #: NCCL re-init time onto a warm spare (vs restart_delay for a
-    #: full gang reschedule)
-    spare_swap_delay: float = 120.0
     #: explicit fault schedule; overrides sampling when non-empty
     faults: tuple[InjectedFault, ...] = ()
 
@@ -221,106 +180,43 @@ class ChaosScenario:
             raise ValueError("seed must be non-negative")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.n_storage_faults < 0:
-            raise ValueError("n_storage_faults must be non-negative")
-        if (len(self.storage_fault_mix) != 3
-                or any(w < 0 for w in self.storage_fault_mix)
-                or sum(self.storage_fault_mix) <= 0):
-            raise ValueError("storage_fault_mix must be 3 non-negative "
-                             "weights with a positive sum")
-        if min(self.storage_outage_duration,
-               self.storage_slowdown_duration,
-               self.ckpt_corruption_duration) <= 0:
-            raise ValueError("storage fault durations must be positive")
-        if self.storage_retry_delay <= 0:
-            raise ValueError("storage_retry_delay must be positive")
-        if self.storage_persist_deadline <= 0:
-            raise ValueError("storage_persist_deadline must be positive")
-        if self.n_network_faults < 0:
-            raise ValueError("n_network_faults must be non-negative")
-        if (len(self.network_fault_mix) != 3
-                or any(w < 0 for w in self.network_fault_mix)
-                or sum(self.network_fault_mix) <= 0):
-            raise ValueError("network_fault_mix must be 3 non-negative "
-                             "weights with a positive sum")
-        if min(self.link_down_duration, self.link_degraded_duration,
-               self.switch_down_duration) <= 0:
-            raise ValueError("network fault durations must be positive")
-        if not 0.0 < self.link_degraded_factor < 1.0:
-            raise ValueError("link_degraded_factor must be in (0, 1)")
-        if self.degraded_detect_delay <= 0:
-            raise ValueError("degraded_detect_delay must be positive")
-        if not 0.0 < self.network_min_factor <= 1.0:
-            raise ValueError("network_min_factor must be in (0, 1]")
+        for count in ("n_background_jobs", "n_faults", "n_storage_faults",
+                      "n_network_faults", "n_pod_faults",
+                      "n_partition_faults", "n_straggler_faults",
+                      "n_power_faults", "hot_spares"):
+            if getattr(self, count) < 0:
+                raise ValueError(f"{count} must be non-negative")
+        for fraction in ("loss_spike_fraction", "hang_fraction",
+                         "pretrain_target_fraction",
+                         "straggler_silent_fraction"):
+            if not 0.0 <= getattr(self, fraction) <= 1.0:
+                raise ValueError(f"{fraction} must be in [0, 1]")
+        if self.loss_spike_fraction + self.hang_fraction > 1.0:
+            raise ValueError("loss_spike_fraction + hang_fraction must "
+                             "not exceed 1")
+        if (self.category_filter is not None
+                and self.category_filter
+                not in {category.value for category in FailureCategory}):
+            raise ValueError(
+                f"unknown category_filter {self.category_filter!r}")
+        if (self.pin_node is not None
+                and not 0 <= self.pin_node < self.n_nodes):
+            raise ValueError(f"pin_node={self.pin_node} is not a node "
+                             f"index below n_nodes={self.n_nodes}")
+        for mix in ("storage_fault_mix", "network_fault_mix"):
+            weights = getattr(self, mix)
+            if (len(weights) != 3 or any(w < 0 for w in weights)
+                    or sum(weights) <= 0):
+                raise ValueError(f"{mix} must be 3 non-negative weights "
+                                 "with a positive sum")
+        if self.ckpt_corruption_duration <= 0:
+            raise ValueError("ckpt_corruption_duration must be positive")
         if self.nodes_per_leaf <= 0:
             raise ValueError("nodes_per_leaf must be positive")
         if self.leaves_per_pod <= 0:
             raise ValueError("leaves_per_pod must be positive")
-        if self.n_pod_faults < 0:
-            raise ValueError("n_pod_faults must be non-negative")
-        if (len(self.pod_fault_mix) != 2
-                or any(w < 0 for w in self.pod_fault_mix)
-                or sum(self.pod_fault_mix) <= 0):
-            raise ValueError("pod_fault_mix must be 2 non-negative "
-                             "weights with a positive sum")
-        if min(self.pod_link_down_duration,
-               self.pod_link_degraded_duration) <= 0:
-            raise ValueError("pod fault durations must be positive")
-        if not 0.0 < self.pod_link_degraded_factor < 1.0:
-            raise ValueError("pod_link_degraded_factor must be in (0, 1)")
-        if self.n_partition_faults < 0:
-            raise ValueError("n_partition_faults must be non-negative")
-        if self.partition_duration <= 0:
-            raise ValueError("partition_duration must be positive")
-        if self.partition_size < 2:
-            raise ValueError("partition_size must be >= 2 (one link is "
-                             "not a partition)")
-        if not (0.0 < self.partition_low_factor
-                < self.partition_high_factor < 1.0):
-            raise ValueError("need 0 < partition_low_factor < "
-                             "partition_high_factor < 1")
-        if self.partition_low_factor >= self.network_min_factor:
-            raise ValueError("partition_low_factor must sit below "
-                             "network_min_factor or the partition "
-                             "never fails a probe")
-        if self.partition_high_factor < self.network_min_factor:
-            raise ValueError("partition_high_factor must sit at or "
-                             "above network_min_factor — the asymmetry "
-                             "is the point")
-        if self.n_straggler_faults < 0:
-            raise ValueError("n_straggler_faults must be non-negative")
-        if not 0.0 <= self.straggler_silent_fraction <= 1.0:
-            raise ValueError("straggler_silent_fraction must be in "
-                             "[0, 1]")
-        if self.straggler_ramp_interval <= 0:
-            raise ValueError("straggler_ramp_interval must be positive")
-        if not (0.0 < self.straggler_decay < 1.0
-                and 0.0 < self.silent_decay < 1.0):
-            raise ValueError("straggler decays must be in (0, 1)")
-        if not (0.0 < self.straggler_floor < 1.0
-                and 0.0 < self.silent_floor < 1.0):
-            raise ValueError("straggler floors must be in (0, 1)")
-        if self.straggler_probe_interval <= 0:
-            raise ValueError("straggler_probe_interval must be positive")
-        if self.straggler_detect_threshold <= 1.0:
-            raise ValueError("straggler_detect_threshold must be > 1")
-        if self.straggler_detect_patience < 1:
-            raise ValueError("straggler_detect_patience must be >= 1")
-        if not 0.0 < self.straggler_conviction_factor <= 1.0:
-            raise ValueError("straggler_conviction_factor must be in "
-                             "(0, 1]")
-        if self.straggler_detect_bound <= 0:
-            raise ValueError("straggler_detect_bound must be positive")
-        if self.n_power_faults < 0:
-            raise ValueError("n_power_faults must be non-negative")
-        if self.power_cap_duration <= 0:
-            raise ValueError("power_cap_duration must be positive")
-        if self.power_cap_watts <= 0:
-            raise ValueError("power_cap_watts must be positive")
-        if self.hot_spares < 0:
-            raise ValueError("hot_spares must be non-negative")
-        if self.spare_swap_delay < 0:
-            raise ValueError("spare_swap_delay must be non-negative")
+        if not 0.0 < self.silent_floor < 1.0:
+            raise ValueError("silent_floor must be in (0, 1)")
         if self.pretrain_gpus % GPUS_PER_NODE:
             raise ValueError("pretrain_gpus must be a multiple of 8")
         if self.scheduler_gpus % GPUS_PER_NODE:
@@ -345,10 +241,6 @@ class ChaosScenario:
     def pool_nodes(self) -> int:
         return self.scheduler_gpus // GPUS_PER_NODE
 
-    @property
-    def spare_nodes(self) -> int:
-        return self.n_nodes - self.gang_nodes - self.pool_nodes
-
     # -- deterministic sampling --------------------------------------------
 
     def build_storage_faults(self) -> list[InjectedFault]:
@@ -364,8 +256,8 @@ class ChaosScenario:
         weights = np.array(self.storage_fault_mix, dtype=float)
         weights /= weights.sum()
         durations = {
-            "storage_outage": self.storage_outage_duration,
-            "storage_slowdown": self.storage_slowdown_duration,
+            "storage_outage": STORAGE_OUTAGE_DURATION,
+            "storage_slowdown": STORAGE_SLOWDOWN_DURATION,
             "ckpt_corruption": self.ckpt_corruption_duration,
         }
         times = np.sort(rng.uniform(0.05 * self.duration,
@@ -387,26 +279,18 @@ class ChaosScenario:
         Sampled from its own registered stream (``network``) so adding
         network faults never perturbs the node-fault, background-job,
         or storage streams — chaos goldens without network faults stay
-        byte-identical.  Windows close by 80% of the horizon plus the
-        longest duration, so end-of-run checks can require the fabric
-        to have healed.
+        byte-identical.  Faults hit links the gang crosses: a gang NIC
+        or the uplink of a leaf the gang spans.  Windows close by 80%
+        of the horizon plus the longest duration, so end-of-run checks
+        can require the fabric to have healed.
         """
         if self.n_network_faults == 0:
             return []
         rng = stream_rng(self.seed, "network")
         weights = np.array(self.network_fault_mix, dtype=float)
         weights /= weights.sum()
-        durations = {
-            "link_down": self.link_down_duration,
-            "link_degraded": self.link_degraded_duration,
-            "switch_down": self.switch_down_duration,
-        }
-        leaf_count = -(-self.n_nodes // self.nodes_per_leaf)  # ceil
-        gang_leaves = -(-self.gang_nodes // self.nodes_per_leaf)
-        node_hi = (self.gang_nodes if self.network_target_gang
-                   else self.n_nodes)
-        leaf_hi = (max(gang_leaves, 1) if self.network_target_gang
-                   else leaf_count)
+        gang_leaves = -(-self.gang_nodes // self.nodes_per_leaf)  # ceil
+        leaf_hi = max(gang_leaves, 1)
         times = np.sort(rng.uniform(0.05 * self.duration,
                                     0.8 * self.duration,
                                     self.n_network_faults))
@@ -414,7 +298,7 @@ class ChaosScenario:
         for index, time in enumerate(times):
             kind = NETWORK_FAULT_KINDS[
                 int(rng.choice(len(NETWORK_FAULT_KINDS), p=weights))]
-            node = int(rng.integers(0, node_hi))
+            node = int(rng.integers(0, self.gang_nodes))
             leaf = int(rng.integers(0, leaf_hi))
             if kind == "switch_down" or float(rng.uniform()) >= 0.5:
                 link = leaf_link(leaf)
@@ -423,7 +307,7 @@ class ChaosScenario:
             faults.append(InjectedFault(
                 float(time), kind, NETWORK_CHAOS_REASONS[kind],
                 "network", node, self.seed * 1000 + 700 + index,
-                duration=durations[kind], link=link))
+                duration=NETWORK_FAULT_DURATIONS[kind], link=link))
         return faults
 
     def build_pod_faults(self) -> list[InjectedFault]:
@@ -432,24 +316,18 @@ class ChaosScenario:
         Sampled from its own registered stream (``pod``): adding pod
         faults never perturbs any other stream.  Windows close by 80%
         of the horizon plus the duration so the fabric heals before
-        end-of-run checks.  Pod uplinks only matter to gangs that
-        cross pods — pair these with a small ``leaves_per_pod``.
+        end-of-run checks.  Faults hit the uplink of a pod the gang
+        spans, and pod uplinks only matter to gangs that cross pods —
+        pair these with a small ``leaves_per_pod``.
         """
         if self.n_pod_faults == 0:
             return []
         rng = stream_rng(self.seed, "pod")
-        weights = np.array(self.pod_fault_mix, dtype=float)
+        weights = np.array(POD_FAULT_MIX, dtype=float)
         weights /= weights.sum()
-        durations = {
-            "pod_link_down": self.pod_link_down_duration,
-            "pod_link_degraded": self.pod_link_degraded_duration,
-        }
-        leaf_count = -(-self.n_nodes // self.nodes_per_leaf)  # ceil
-        pod_count = -(-leaf_count // self.leaves_per_pod)
-        gang_leaves = -(-self.gang_nodes // self.nodes_per_leaf)
+        gang_leaves = -(-self.gang_nodes // self.nodes_per_leaf)  # ceil
         gang_pods = -(-gang_leaves // self.leaves_per_pod)
-        pod_hi = (max(gang_pods, 1) if self.network_target_gang
-                  else pod_count)
+        pod_hi = max(gang_pods, 1)
         times = np.sort(rng.uniform(0.05 * self.duration,
                                     0.8 * self.duration,
                                     self.n_pod_faults))
@@ -461,7 +339,8 @@ class ChaosScenario:
             faults.append(InjectedFault(
                 float(time), kind, NETWORK_CHAOS_REASONS[kind],
                 "network", 0, self.seed * 1000 + 800 + index,
-                duration=durations[kind], link=pod_link(pod)))
+                duration=POD_FAULT_DURATIONS[kind],
+                link=pod_link(pod)))
         return faults
 
     def build_partition_faults(self) -> list[InjectedFault]:
@@ -476,26 +355,24 @@ class ChaosScenario:
         if self.n_partition_faults == 0:
             return []
         rng = stream_rng(self.seed, "partition")
-        node_hi = (self.gang_nodes if self.network_target_gang
-                   else self.n_nodes)
-        size = min(self.partition_size, node_hi)
+        size = min(PARTITION_SIZE, self.gang_nodes)
         times = np.sort(rng.uniform(0.05 * self.duration,
                                     0.8 * self.duration,
                                     self.n_partition_faults))
         faults = []
         for index, time in enumerate(times):
             members = sorted(int(node) for node in rng.choice(
-                node_hi, size=size, replace=False))
+                self.gang_nodes, size=size, replace=False))
             links = tuple(nic_link(node) for node in members)
             factors = tuple(
-                self.partition_low_factor if position % 2 == 0
-                else self.partition_high_factor
+                PARTITION_LOW_FACTOR if position % 2 == 0
+                else PARTITION_HIGH_FACTOR
                 for position in range(size))
             faults.append(InjectedFault(
                 float(time), "partial_partition",
                 NETWORK_CHAOS_REASONS["partial_partition"], "network",
                 members[0], self.seed * 1000 + 850 + index,
-                duration=self.partition_duration, link=links[0],
+                duration=PARTITION_DURATION, link=links[0],
                 links=links, link_factors=factors))
         return faults
 
@@ -548,7 +425,7 @@ class ChaosScenario:
         rng = stream_rng(self.seed, "power")
         power_model = GpuPowerModel()
         thermal = TemperatureModel()
-        capping = PowerCappingModel(cap_watts=self.power_cap_watts)
+        capping = PowerCappingModel(cap_watts=POWER_CAP_WATTS)
         times = np.sort(rng.uniform(0.05 * self.duration,
                                     0.8 * self.duration,
                                     self.n_power_faults))
@@ -571,7 +448,7 @@ class ChaosScenario:
             faults.append(InjectedFault(
                 float(time), "power_cap", None, "power", 0,
                 self.seed * 1000 + 950 + index,
-                duration=self.power_cap_duration,
+                duration=POWER_CAP_DURATION,
                 factor=capping.step_factor(mean_draw, core)))
         return faults
 

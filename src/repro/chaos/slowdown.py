@@ -24,6 +24,14 @@ from repro.obs.tracer import NULL_TRACER, TracerLike
 from repro.sim.engine import Engine
 from repro.training.pretrain import PretrainProcess
 
+#: per-ramp multiplicative decay and floor of a loud straggler's step
+#: contribution
+STRAGGLER_DECAY = 0.88
+STRAGGLER_FLOOR = 0.45
+#: gentler per-ramp decay for silent degraders, down to the scenario's
+#: ``silent_floor``
+SILENT_DECAY = 0.97
+
 
 @dataclass
 class StragglerState:
@@ -66,9 +74,7 @@ class SlowdownDomain:
         self.has_stragglers = any(fault.kind in STRAGGLER_FAULT_KINDS
                                   for fault in faults)
         self.stragglers: list[StragglerState] = []
-        self._deviation = StepTimeDeviationDetector(
-            threshold=scenario.straggler_detect_threshold,
-            patience=scenario.straggler_detect_patience)
+        self._deviation = StepTimeDeviationDetector()
         #: (time, iteration) the next probe sample measures from; the
         #: harness clears it on every gang restart
         self.baseline: tuple[float, int] | None = None
@@ -89,11 +95,9 @@ class SlowdownDomain:
         logged on its behalf — detection must come from step-time
         deviation, not log parsing."""
         if fault.kind == "silent_degrader":
-            decay = self.scenario.silent_decay
-            floor = self.scenario.silent_floor
+            decay, floor = SILENT_DECAY, self.scenario.silent_floor
         else:
-            decay = self.scenario.straggler_decay
-            floor = self.scenario.straggler_floor
+            decay, floor = STRAGGLER_DECAY, STRAGGLER_FLOOR
         state = StragglerState(index=index, fault=fault, node=node,
                                decay=decay, floor=floor,
                                last_accrual=self.engine.now)
@@ -166,7 +170,7 @@ class SlowdownDomain:
         factor = self.fabric.factor(self.placements, now)
         expected = (self.stretch(factor if factor > 0.0 else 1.0,
                                  stragglers=False)
-                    * self.scenario.step_time)
+                    * pretrain.step_time)
         ratio = observed / expected
         event = self._deviation.observe(pretrain.iteration, ratio)
         if event is None:

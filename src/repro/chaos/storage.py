@@ -26,6 +26,11 @@ from repro.core.recovery import CheckpointCatalog, RecoveryController
 from repro.obs.tracer import NULL_TRACER, TracerLike
 from repro.sim.engine import Engine
 
+#: added clock-seconds per read/write inside a slowdown window
+SLOWDOWN_DELAY = 20.0
+#: total clock budget one persist may burn across retries
+PERSIST_DEADLINE = 120.0
+
 
 class StorageDomain:
     """Checkpoint persist and restore through armed storage faults."""
@@ -53,14 +58,14 @@ class StorageDomain:
             InMemoryStorage(), windows=windows("ckpt_corruption") or (),
             clock=self.clock)
         slow = SlowStorage(
-            self._corrupting, delay=scenario.storage_slowdown_delay,
+            self._corrupting, delay=SLOWDOWN_DELAY,
             windows=windows("storage_slowdown") or (), clock=self.clock)
         self.checkpointer = SyncCheckpointer(
             FlakyStorage(slow, windows=self.outage_windows or (),
                          clock=self.clock),
             retry=RetryPolicy(max_attempts=5, base_delay=5.0,
                               backoff=2.0, max_delay=120.0,
-                              deadline=scenario.storage_persist_deadline,
+                              deadline=PERSIST_DEADLINE,
                               jitter=0.0),
             clock=self.clock, tracer=self.tracer)
         self.checkpoints_persisted = 0

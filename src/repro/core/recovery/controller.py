@@ -31,6 +31,10 @@ from repro.core.recovery.nccl_test import (CollectiveTester,
                                            two_round_nccl_test)
 from repro.failures.taxonomy import FailureCategory
 
+#: DCGM-scan conviction bar: a node measured below this step
+#: contribution is convicted as a straggler
+STRAGGLER_CONVICTION_FACTOR = 0.95
+
 
 @dataclass(frozen=True)
 class RecoveryAction:
@@ -322,7 +326,8 @@ class RecoveryController:
 
     def handle_straggler(self, detail: str,
                          node_factors: Mapping[str, float],
-                         min_factor: float = 0.95) -> RecoveryPlan:
+                         min_factor: float = STRAGGLER_CONVICTION_FACTOR
+                         ) -> RecoveryPlan:
         """Convict measurably slow nodes after a timeseries deviation.
 
         Detection came from the training timeseries drifting (the

@@ -12,6 +12,7 @@ import pytest
 
 from repro.chaos import BUNDLED_SCENARIOS, InjectedFault, InvariantChecker
 from repro.chaos.fabric import FabricDomain
+from repro.chaos.harness import STEP_TIME
 from repro.chaos.slowdown import SlowdownDomain
 
 NOW = 10.0
@@ -122,7 +123,8 @@ class TestStretchComposition:
         names = node_names(scenario.n_nodes)
         # stand-ins for the engine and the gang, moved by hand
         self.clock = SimpleNamespace(now=0.0)
-        self.gang = SimpleNamespace(running=True, iteration=0)
+        self.gang = SimpleNamespace(running=True, iteration=0,
+                                    step_time=STEP_TIME)
         placements = {name: "pretrain-main" for name in names[:4]}
         self.checker = InvariantChecker(scheduler=None, nodes={},
                                         placements=placements)
@@ -158,11 +160,9 @@ class TestStretchComposition:
     def test_probe_divides_out_fabric_and_power_but_not_stragglers(self):
         domain = self.make(window("link_degraded", "network",
                                   link="nic:0"))
-        step_time = domain.scenario.step_time
-
         def sample(stretch):
             """Ten steps at ``stretch`` since the last probe."""
-            self.clock.now += 10 * step_time * stretch
+            self.clock.now += 10 * STEP_TIME * stretch
             self.gang.iteration += 10
             return domain.probe()
 

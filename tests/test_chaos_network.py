@@ -6,7 +6,11 @@ import pytest
 
 from repro.chaos import (BUNDLED_SCENARIOS, ChaosHarness, ChaosScenario,
                          InvariantViolation, run_scenario)
+from repro.chaos.fabric import MIN_FACTOR
 from repro.chaos.invariants import InvariantChecker
+from repro.chaos.scenario import (NETWORK_FAULT_DURATIONS,
+                                  PARTITION_HIGH_FACTOR,
+                                  PARTITION_LOW_FACTOR)
 from repro.cluster.linkhealth import LinkHealth
 from repro.failures.taxonomy import (NETWORK_CHAOS_REASONS,
                                      NETWORK_FAULT_KINDS)
@@ -34,9 +38,7 @@ class TestScenarioGeneration:
 
     def test_windows_close_before_the_horizon(self):
         scenario = storm()
-        longest = max(scenario.link_down_duration,
-                      scenario.link_degraded_duration,
-                      scenario.switch_down_duration)
+        longest = max(NETWORK_FAULT_DURATIONS.values())
         for fault in scenario.build_network_faults():
             assert 0.0 < fault.time <= 0.8 * scenario.duration
             assert fault.time + longest < scenario.duration
@@ -63,9 +65,13 @@ class TestScenarioGeneration:
         with pytest.raises(ValueError):
             storm(network_fault_mix=(-1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
-            storm(link_degraded_factor=1.5)
-        with pytest.raises(ValueError):
             storm(n_network_faults=-1)
+
+    def test_partition_factors_straddle_the_pass_threshold(self):
+        """Some partition links fail the NCCL probe and some pass it —
+        the asymmetry localization has to untangle."""
+        assert (0.0 < PARTITION_LOW_FACTOR < MIN_FACTOR
+                <= PARTITION_HIGH_FACTOR < 1.0)
 
 
 class TestHarnessWiring:
@@ -160,8 +166,6 @@ class TestNetworkInvariants:
         checker.network_health = None
         checker.network_min_factor = 0.5
         checker.cordoned_segments = set()
-        checker.segment_conviction_records = []
-        checker.gang_placement_records = []
         return checker
 
     def test_placement_across_downed_link_raises(self):
@@ -172,7 +176,6 @@ class TestNetworkInvariants:
     def test_clean_placement_is_recorded(self):
         checker = self.make_checker()
         checker.record_gang_placement(10.0, ())
-        assert checker.gang_placement_records == [(10.0, ())]
 
     def test_convicting_a_healthy_segment_raises(self):
         checker = self.make_checker()
@@ -186,7 +189,6 @@ class TestNetworkInvariants:
         health.link_down("leaf:0", start=0.0, end=100.0)
         checker.network_health = health
         checker.record_segment_conviction(10.0, "leaf:0")
-        assert checker.segment_conviction_records == [(10.0, "leaf:0")]
 
 
 class TestPretrainStepFactor:

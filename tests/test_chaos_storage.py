@@ -8,6 +8,8 @@ import pytest
 from repro.chaos import (BUNDLED_SCENARIOS, STORAGE_FAULT_KINDS,
                          ChaosScenario, InvariantViolation, run_scenario)
 from repro.chaos.invariants import InvariantChecker
+from repro.chaos.scenario import (STORAGE_OUTAGE_DURATION,
+                                  STORAGE_SLOWDOWN_DURATION)
 from repro.failures.taxonomy import STORAGE_CHAOS_REASON
 
 
@@ -70,8 +72,8 @@ class TestStorageFaultSchedule:
     def test_faults_carry_storage_metadata(self):
         scenario = BUNDLED_SCENARIOS["storage-storm"]
         durations = {
-            "storage_outage": scenario.storage_outage_duration,
-            "storage_slowdown": scenario.storage_slowdown_duration,
+            "storage_outage": STORAGE_OUTAGE_DURATION,
+            "storage_slowdown": STORAGE_SLOWDOWN_DURATION,
             "ckpt_corruption": scenario.ckpt_corruption_duration,
         }
         for fault in scenario.build_storage_faults():
@@ -96,10 +98,6 @@ class TestStorageFaultSchedule:
             ChaosScenario(name="x", storage_fault_mix=(1.0, 1.0))
         with pytest.raises(ValueError):
             ChaosScenario(name="x", storage_fault_mix=(0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            ChaosScenario(name="x", storage_outage_duration=0.0)
-        with pytest.raises(ValueError):
-            ChaosScenario(name="x", storage_retry_delay=-5.0)
 
 
 def make_checker(**context):

@@ -5,11 +5,14 @@ crc32, so ``gauges()`` and ``checkpoint()`` cost O(new lines) instead of
 O(age).  These tests diff it against the full-text oracle in
 ``tests/oracles/service.py``, pin that every line is rendered exactly
 once, and drive an admission-armed service on flaky storage through
-random submit / advance / checkpoint / restore sequences: after every
-step the digests equal the oracle's, the journal never holds two
-adjacent ``advance`` entries, and a restored service equals the live
-one before and after both advance.  Snapshots in the older journal
-format (one ``advance`` entry per horizon) must still restore.
+random submit / attach / advance / checkpoint / corrupt / restore
+sequences: after every step the digests equal the oracle's, the journal
+never holds two adjacent ``advance`` entries, a restored service equals
+the live one before and after both advance, and a corrupted newest
+generation is quarantined in favour of the one saved before it.
+Snapshots in older formats (one ``advance`` entry per horizon, a
+scenario dict carrying fields since folded into constants) must still
+restore.
 """
 
 from collections import Counter
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
-                                 invariant, rule)
+                                 invariant, precondition, rule)
 
 from repro.chaos import BUNDLED_SCENARIOS
 from repro.chaos.harness import event_log_line
@@ -30,7 +33,8 @@ from repro.service import (ClusterService, OverloadConfig,
                            QueueDepthCapPolicy, ServiceStateError)
 from repro.service.cluster import admission_log_line
 from repro.service.state import (RollingDigest, encode_state,
-                                 job_to_dict, text_digest)
+                                 job_to_dict, scenario_to_dict,
+                                 text_digest)
 from repro.sim.engine import SimulationError
 from repro.workload.streams import (EvalBurstConfig, EvalBurstStream,
                                     PoissonJobStream,
@@ -184,12 +188,64 @@ class TestCoalescedJournal:
         assert restored.advance(until) == service.advance(until)
 
 
+#: the scenario fields later folded into module constants, at the only
+#: values any scenario ever gave them; older snapshots still carry them
+FOLDED_FIELDS = {
+    "step_time": 15.0, "total_iterations": 1_000_000,
+    "steps_per_checkpoint": 120, "restart_delay": 300.0,
+    "repair_delay": 7200.0, "storage_outage_duration": 1800.0,
+    "storage_slowdown_duration": 3600.0, "storage_slowdown_delay": 20.0,
+    "storage_retry_delay": 600.0, "storage_persist_deadline": 120.0,
+    "link_down_duration": 1800.0, "link_degraded_duration": 3600.0,
+    "link_degraded_factor": 0.35, "switch_down_duration": 1200.0,
+    "degraded_detect_delay": 900.0, "network_min_factor": 0.5,
+    "network_target_gang": True, "pod_fault_mix": [0.5, 0.5],
+    "pod_link_down_duration": 1800.0,
+    "pod_link_degraded_duration": 3600.0,
+    "pod_link_degraded_factor": 0.35, "partition_duration": 2700.0,
+    "partition_size": 3, "partition_low_factor": 0.3,
+    "partition_high_factor": 0.8, "straggler_ramp_interval": 600.0,
+    "straggler_decay": 0.88, "straggler_floor": 0.45,
+    "silent_decay": 0.97, "straggler_probe_interval": 300.0,
+    "straggler_detect_threshold": 1.15, "straggler_detect_patience": 2,
+    "straggler_conviction_factor": 0.95,
+    "straggler_detect_bound": 9000.0, "power_cap_duration": 3600.0,
+    "power_cap_watts": 300.0, "spare_swap_delay": 120.0,
+}
+
+
+class TestOlderScenarioDicts:
+    def test_folded_fields_are_no_longer_serialized(self):
+        assert len(FOLDED_FIELDS) == 37
+        assert not set(FOLDED_FIELDS) & set(scenario_to_dict(SMOKE))
+
+    def test_snapshot_carrying_folded_fields_restores(self):
+        """A snapshot whose scenario dict still holds the 37 folded
+        keys at their old values restores to the live gauges and
+        advances byte-identically."""
+        storage = InMemoryStorage()
+        service = armed_service(storage)
+        service.advance(SMOKE.duration / 4)
+        payload = service._state_payload()
+        payload["scenario"].update(FOLDED_FIELDS)
+        SyncCheckpointer(storage).save(0, encode_state(payload))
+        restored = ClusterService.restore(storage)
+        assert restored.scenario == SMOKE
+        assert restored.gauges() == service.gauges()
+        until = SMOKE.duration / 2
+        assert restored.advance(until) == service.advance(until)
+        assert restored.event_log_text() == service.event_log_text()
+        assert (restored.admission_log_text()
+                == service.admission_log_text())
+
+
 # -- random operation sequences on flaky storage ---------------------------
 
 
 class RestoreMachine(RuleBasedStateMachine):
-    """Random submit / advance / checkpoint / restore on an armed
-    service whose snapshots go through flaky storage.
+    """Random submit / attach / advance / checkpoint / corrupt /
+    restore on an armed service whose snapshots go through flaky
+    storage.
 
     A save whose retries run out raises ``CheckpointError`` and writes
     nothing, and a restore that cannot reach the newest generation
@@ -197,12 +253,16 @@ class RestoreMachine(RuleBasedStateMachine):
     outcomes, so the machine accepts them and checks what follows.
     """
 
+    #: streams the ``attach`` rule may add on top of the two built in
+    MAX_ATTACHED = 2
+
     @initialize(seed=st.integers(0, 2**16))
     def build(self, seed):
         self.storage = FlakyStorage(InMemoryStorage(), fail_rate=0.3,
                                     seed=seed)
         self.service = armed_service(self.storage)
         self.submitted = 0
+        self.attached = 0
         #: generation -> the live gauges when it was saved
         self.saved = {}
 
@@ -226,6 +286,19 @@ class RestoreMachine(RuleBasedStateMachine):
             job_type=job_type, submit_time=now, duration=600.0,
             gpu_demand=gpus))
 
+    @precondition(lambda self: self.attached < self.MAX_ATTACHED)
+    @rule(seed=st.integers(0, 2**16),
+          job_type=st.sampled_from(["debug", "sft"]))
+    def attach(self, seed, job_type):
+        """A new arrival stream joins mid-run; restore must replay it
+        from the journal."""
+        self.attached += 1
+        self.service.attach_stream(PoissonJobStream(PoissonStreamConfig(
+            name=f"late-{self.attached}", seed=seed, rate_per_hour=30.0,
+            job_type=job_type, gpu_choices=(1, 2),
+            duration_median_s=600.0)))
+        assert self.service._journal[-1][0] == "attach"
+
     @rule(step=st.floats(0.0, 3600.0))
     def advance(self, step):
         until = min(self.service.engine.now + step, SMOKE.duration)
@@ -242,6 +315,36 @@ class RestoreMachine(RuleBasedStateMachine):
     @rule()
     def checkpoint(self):
         self._checkpoint()
+
+    @precondition(lambda self: self.saved)
+    @rule(offset=st.integers(0, 2**20))
+    def corrupt(self, offset):
+        """Flip one byte of the newest stored generation: a restore
+        quarantines it and falls back to the generation saved before.
+
+        The restore reads the reliable store under the flaky layer, so
+        the quarantine is certain; unreachable restores are the other
+        rule's business.
+        """
+        store = self.storage.inner
+        generations = sorted(int(key.split("-")[1]) for key in store.keys()
+                             if key.startswith("ckpt-"))
+        newest = generations.pop()
+        key = f"ckpt-{newest:012d}"
+        blob = bytearray(store.read(key))
+        blob[offset % len(blob)] ^= 0xFF
+        store.write(key, bytes(blob))
+        # the corrupt generation is lost for good, whoever restores next
+        del self.saved[newest]
+        try:
+            restored = ClusterService.restore(store, retry=RETRY)
+        except ServiceStateError:
+            assert not generations  # nothing older was ever saved
+        else:
+            assert restored._next_generation - 1 == generations[-1]
+            assert restored.gauges() == self.saved[generations[-1]]
+        assert key not in store.keys()
+        assert "quarantine-" + key in store.keys()
 
     @rule(step=st.floats(0.0, 1800.0), adopt=st.booleans())
     def restore_and_compare(self, step, adopt):
