@@ -110,8 +110,7 @@ def run_chaos_storm(repeats: int) -> dict:
 
 def run_fabric_contention(n_flows: int, rounds: int) -> dict:
     """Max-min fair solves over a saturated multi-tier fabric."""
-    from repro.cluster.network import (Flow, clear_rate_cache,
-                                       max_min_fair_rates)
+    from repro.cluster.network import Flow, max_min_fair_rates
 
     nodes = max(8, n_flows // 8)
     links = {f"nic:{node}": 25e9 for node in range(nodes)}
@@ -123,7 +122,6 @@ def run_fabric_contention(n_flows: int, rounds: int) -> dict:
                    f"nic:{(i * 7 + 3) % nodes}"),
                   rate_cap=12.5e9 if i % 3 else float("inf"))
              for i in range(n_flows)]
-    clear_rate_cache()
     warmup = max_min_fair_rates(links, flows)
     assert len(warmup) == n_flows, "solver dropped flows"
     start = time.perf_counter()

@@ -18,7 +18,7 @@ Run:  python examples/fault_tolerant_pretraining.py
 import numpy as np
 
 from repro.analysis.report import render_key_values, render_table
-from repro.cluster.machine import Node, kalos_node_spec
+from repro.cluster.machine import Node, NodeHealth, kalos_node_spec
 from repro.core.checkpoint import AsyncCheckpointer, InMemoryStorage
 from repro.core.diagnosis import DiagnosisSystem
 from repro.core.recovery import (CheckpointCatalog, CollectiveTester,
@@ -79,7 +79,11 @@ def main():
             if plan.restart and plan.restart_checkpoint_step is not None:
                 iteration = plan.restart_checkpoint_step
             for name in plan.cordoned_nodes:
-                controller.nodes[name].uncordon()  # repaired off-line
+                node = controller.nodes[name]
+                # repaired off-line; a node escalated to FAULTY needs
+                # hardware replacement and stays out
+                if node.health is NodeHealth.CORDONED:
+                    node.uncordon()
         checkpointer.flush()
 
     print(render_table(incidents, title="== incident log =="))

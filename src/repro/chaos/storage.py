@@ -151,6 +151,10 @@ class StorageDomain:
             self._collect_stall()
             self._drain_quarantine(checker)
         if loaded is None:
+            # from scratch is a fallback to step 0: invariant 8 bills
+            # all ``step`` planned iterations as lost
+            self.restore_fallbacks += 1
+            self.fallback_lost_iterations += step
             self._log("restore_scratch",
                       f"planned={step} (no readable generation)")
             checker.record_restore(self.engine.now, step, 0)

@@ -8,9 +8,8 @@ paper's characterization figures, which depend only on resource arithmetic.
 
 from repro.cluster.machine import GpuSpec, NodeSpec, Gpu, Node, A100_SXM_80GB
 from repro.cluster.cluster import Cluster, make_seren, make_kalos, make_acme
-from repro.cluster.network import Link, FairShareLink, NetworkFabric
+from repro.cluster.network import FairShareLink
 from repro.cluster.storage import SharedStorage, LoadRequest
-from repro.cluster.topology import ClusterTopology
 from repro.cluster.fattree import FatTree, FatTreeConfig, factor_table
 from repro.cluster.linkhealth import (
     LinkFault,
@@ -30,12 +29,9 @@ __all__ = [
     "make_seren",
     "make_kalos",
     "make_acme",
-    "Link",
     "FairShareLink",
-    "NetworkFabric",
     "SharedStorage",
     "LoadRequest",
-    "ClusterTopology",
     "FatTree",
     "FatTreeConfig",
     "factor_table",

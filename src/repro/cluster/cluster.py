@@ -1,17 +1,16 @@
 """Cluster objects and the Seren/Kalos factories (Table 1).
 
-A :class:`Cluster` owns its nodes, a topology/fabric, and the shared
-storage; it exposes the aggregate GPU pool the scheduler allocates from.
+A :class:`Cluster` owns its nodes and the shared storage; it exposes the
+aggregate GPU pool the scheduler allocates from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.machine import (Node, NodeSpec, kalos_node_spec,
                                    seren_node_spec)
 from repro.cluster.storage import SharedStorage
-from repro.cluster.topology import ClusterTopology
 
 
 @dataclass
@@ -22,12 +21,10 @@ class Cluster:
     nodes: list[Node]
     storage: SharedStorage
     scheduler_kind: str = "slurm"
-    topology: ClusterTopology = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValueError("cluster must have nodes")
-        self.topology = ClusterTopology(self.nodes)
 
     @property
     def node_count(self) -> int:

@@ -2,11 +2,13 @@
 
 The paper's most frequent and most disruptive interruptions come from
 the network fabric (Table 3: NVLink/IB link errors, NIC flaps, switch
-failures).  This module makes the otherwise-immutable fabric models
-(`repro.cluster.network.NetworkFabric`, `repro.cluster.fattree.FatTree`)
-degradable: a :class:`LinkHealth` overlay records ``[start, end)``
-fault windows on the simulation clock, and the fabric consults it when
-computing rates and bandwidth factors.
+failures).  This module makes the otherwise-immutable fat-tree model
+(`repro.cluster.fattree.FatTree`) degradable: a :class:`LinkHealth`
+overlay records ``[start, end)`` fault windows on the simulation clock,
+and the fabric consults it when computing bandwidth factors.  For
+max-min fair rates under the faults, scale each link capacity passed to
+:func:`repro.cluster.network.max_min_fair_rates` by
+:meth:`LinkHealth.factor`.
 
 Three fault shapes are supported, mirroring the chaos fault kinds:
 

@@ -1,10 +1,14 @@
 """Bandwidth-sharing network model.
 
 Transfers through a shared link receive a max-min fair share of its
-capacity.  This is the contention model behind the model-loading stress
-test (Fig. 16 left): N concurrent single-GPU evaluation trials on one node
-share the node's 25 Gb/s storage NIC, so per-trial loading speed collapses
-roughly as 1/N until trials spread across nodes.
+capacity.  For one link that is :class:`FairShareLink`, the contention
+model behind the model-loading stress test (Fig. 16 left, through
+:mod:`repro.cluster.storage`): N concurrent single-GPU evaluation trials
+on one node share the node's 25 Gb/s storage NIC, so per-trial loading
+speed collapses roughly as 1/N until trials spread across nodes.
+:func:`max_min_fair_rates` generalizes it to flows crossing several
+named links, each given by its capacity (scaled by its
+:class:`~repro.cluster.linkhealth.LinkHealth` factor when faulted).
 
 The model is analytic (progressive filling) rather than packet-level: the
 paper's observations are about steady-state throughput, not transport
@@ -13,32 +17,15 @@ dynamics.
 :func:`max_min_fair_rates` runs the filling in pure python for small
 flow sets and as numpy array ops over the flow/link incidence matrix
 once the flow count justifies the array setup cost; both agree to
-float-summation noise (≤1e-9 relative).  Small flow sets also hit a
-bounded result cache keyed by the used-link capacities and flow tuples
-— the model-loading stress test asks for the same handful of
-configurations thousands of times per run.
+float-summation noise (≤1e-9 relative).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from repro.cluster.linkhealth import LinkHealth
-
-
-@dataclass(frozen=True)
-class Link:
-    """A named capacity: bytes/s."""
-
-    name: str
-    bandwidth: float
-
-    def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
 
 
 @dataclass
@@ -53,14 +40,6 @@ class Flow:
 
 #: flow count at which the vectorized filling beats the scalar loop
 _VECTOR_MIN_FLOWS = 32
-#: bounded small-N result cache (cleared wholesale when full)
-_RATE_CACHE_MAX = 4096
-_rate_cache: dict[tuple, dict[str, float]] = {}
-
-
-def clear_rate_cache() -> None:
-    """Drop all cached small-N results (test isolation hook)."""
-    _rate_cache.clear()
 
 
 def _validate_links(links: dict[str, float],
@@ -84,25 +63,14 @@ def max_min_fair_rates(links: dict[str, float],
     flow crossing it to rate 0.
 
     Flow sets of at least ``_VECTOR_MIN_FLOWS`` flows are filled with
-    numpy; smaller ones are filled in pure python and memoized.
+    numpy; smaller ones are filled in pure python.
 
     Returns a mapping flow_id -> bytes/s.
     """
     _validate_links(links, flows)
     if len(flows) >= _VECTOR_MIN_FLOWS:
         return _fill_vector(links, flows)
-    used = sorted({link for flow in flows for link in flow.links})
-    key = (tuple((name, links[name]) for name in used),
-           tuple((flow.flow_id, flow.links, flow.rate_cap)
-                 for flow in flows))
-    cached = _rate_cache.get(key)
-    if cached is not None:
-        return dict(cached)
-    rates = _fill_scalar(links, flows)
-    if len(_rate_cache) >= _RATE_CACHE_MAX:
-        _rate_cache.clear()
-    _rate_cache[key] = dict(rates)
-    return rates
+    return _fill_scalar(links, flows)
 
 
 def _fill_scalar(links: dict[str, float],
@@ -218,64 +186,6 @@ class FairShareLink:
             # share is zero (per_flow_cap 0 / fully contended link).
             return 0.0
         return size_bytes / self.rate_for(concurrent, per_flow_cap)
-
-
-class NetworkFabric:
-    """The cluster interconnect as a set of named links.
-
-    Links follow the paper's architecture: per-node application NIC(s),
-    per-node storage NIC, per-GPU PCIe, per-GPU NVLink, and an aggregate
-    storage backend.
-
-    An optional :class:`~repro.cluster.linkhealth.LinkHealth` overlay
-    makes capacities time-dependent: pass the sim clock via ``at`` to
-    :meth:`rates` / :meth:`transfer_times` and downed or degraded links
-    shrink accordingly.  An absent or empty overlay is a strict no-op.
-    """
-
-    def __init__(self, health: Optional[LinkHealth] = None) -> None:
-        self._links: dict[str, Link] = {}
-        self.health = health
-
-    def add_link(self, link: Link) -> None:
-        """Register a named link; duplicate names are rejected."""
-        if link.name in self._links:
-            raise ValueError(f"duplicate link {link.name!r}")
-        self._links[link.name] = link
-
-    def link(self, name: str) -> Link:
-        """Look up a link by name."""
-        return self._links[name]
-
-    def has_link(self, name: str) -> bool:
-        """Whether a link with this name exists."""
-        return name in self._links
-
-    def rates(self, flows: Sequence[Flow],
-              at: float = 0.0) -> dict[str, float]:
-        """Max-min fair rates for the given flows at sim time ``at``."""
-        capacities = {name: link.bandwidth
-                      for name, link in self._links.items()}
-        if self.health is not None and not self.health.empty:
-            capacities = {name: bandwidth * self.health.factor(name, at)
-                          for name, bandwidth in capacities.items()}
-        return max_min_fair_rates(capacities, flows)
-
-    def transfer_times(self, flows: Sequence[Flow],
-                       sizes: dict[str, float],
-                       at: float = 0.0) -> dict[str, float]:
-        """Steady-state completion time per flow (no rate re-negotiation).
-
-        A flow pinned to rate 0 (downed link) never completes: inf.
-        """
-        rates = self.rates(flows, at=at)
-        return {flow_id: (sizes[flow_id] / rate if rate > 0.0
-                          else float("inf"))
-                for flow_id, rate in rates.items()}
-
-    @property
-    def link_names(self) -> Iterable[str]:
-        return self._links.keys()
 
 
 def allreduce_time(size_bytes: float, world: int, bandwidth: float,

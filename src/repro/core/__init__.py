@@ -10,7 +10,6 @@
 from repro.core.checkpoint import (AsyncCheckpointer, SyncCheckpointer,
                                    CheckpointCostModel, InMemoryStorage,
                                    DirectoryStorage)
-from repro.core.sharded import ShardedCheckpointer
 
 __all__ = [
     "AsyncCheckpointer",
@@ -18,5 +17,4 @@ __all__ = [
     "CheckpointCostModel",
     "InMemoryStorage",
     "DirectoryStorage",
-    "ShardedCheckpointer",
 ]

@@ -248,7 +248,7 @@ class _CheckpointerBase:
     """
 
     def __init__(self, storage, retry: RetryPolicy | None = None,
-                 secondary=None, clock=None, retry_seed: int = 0,
+                 secondary=None, clock=None,
                  tracer: TracerLike | None = None) -> None:
         self.storage = storage
         self.secondary = secondary
@@ -258,7 +258,7 @@ class _CheckpointerBase:
         # clock (the sim harness injects an engine-backed one), so the
         # trace shows retry stalls in simulated seconds
         self.tracer = tracer or NULL_TRACER
-        self._retry_rng = np.random.default_rng(retry_seed)
+        self._retry_rng = np.random.default_rng(0)
         self.health = PersistHealth.HEALTHY
         self.saves = 0
         self.retries_total = 0
@@ -484,43 +484,28 @@ class AsyncCheckpointer(_CheckpointerBase):
     ``save`` blocks only for the in-memory snapshot (deep copy +
     serialization); a worker thread drains the persist queue through the
     retrying pipeline.  The queue is bounded by ``buffer_slots`` — host
-    memory holds only a few checkpoints (Fig. 7b observation) — with an
-    explicit ``overflow`` policy when it is full:
+    memory holds only a few checkpoints (Fig. 7b observation) — and
+    when it is full the oldest unpersisted snapshot is dropped in favor
+    of the newer one, because recovery only ever wants the latest
+    durable state.
 
-    * ``"drop_oldest"`` (default) — evict the oldest unpersisted
-      snapshot in favor of the newer one, because recovery only ever
-      wants the latest durable state;
-    * ``"error"`` — raise :class:`CheckpointError` back to the trainer;
-    * ``"block"`` — wait (wall-clock) for a slot to free up.
-
-    A persist that exhausts its retry budget no longer kills the worker:
-    the step lands in :attr:`failed_steps`, the optional
-    ``on_persist_failure(step, error)`` callback fires, :attr:`health`
-    flips to FAILED, and the worker keeps draining newer snapshots.
+    A persist that exhausts its retry budget does not kill the worker:
+    the step lands in :attr:`failed_steps`, :attr:`health` flips to
+    FAILED, the next :meth:`flush` (or :meth:`close`) raises, and the
+    worker keeps draining newer snapshots.
     """
-
-    _OVERFLOW_POLICIES = ("drop_oldest", "error", "block")
 
     def __init__(self, storage, buffer_slots: int = 2,
                  retry: RetryPolicy | None = None, secondary=None,
-                 clock=None, retry_seed: int = 0,
-                 overflow: str = "drop_oldest",
-                 on_persist_failure:
-                 Callable[[int, str], None] | None = None) -> None:
+                 clock=None) -> None:
         if buffer_slots < 1:
             raise ValueError("buffer_slots must be >= 1")
-        if overflow not in self._OVERFLOW_POLICIES:
-            raise ValueError(f"overflow must be one of "
-                             f"{self._OVERFLOW_POLICIES}")
         super().__init__(storage, retry=retry, secondary=secondary,
-                         clock=clock, retry_seed=retry_seed)
+                         clock=clock)
         self.buffer_slots = buffer_slots
-        self.overflow = overflow
-        self.on_persist_failure = on_persist_failure
         self._queue: queue.Queue[_PendingSave | None] = queue.Queue()
         self._pending: list[_PendingSave] = []
         self._lock = threading.Lock()
-        self._slot_free = threading.Condition(self._lock)
         self._error: BaseException | None = None
         self.dropped = 0
         #: steps whose persist exhausted the retry budget
@@ -541,12 +526,6 @@ class AsyncCheckpointer(_CheckpointerBase):
                     result = self._persist(item.step, item.blob)
                     if not result.ok:
                         self.failed_steps.append(item.step)
-                        if self.on_persist_failure is not None:
-                            try:
-                                self.on_persist_failure(
-                                    item.step, result.error or "")
-                            except Exception:  # reprolint: disable=EXC001
-                                pass  # a sick callback must not kill us
             except BaseException as exc:
                 # Unexpected (non-storage) error: remember it for the
                 # next save/flush, but keep the worker alive — a poisoned
@@ -556,7 +535,6 @@ class AsyncCheckpointer(_CheckpointerBase):
                 with self._lock:
                     if item in self._pending:
                         self._pending.remove(item)
-                    self._slot_free.notify_all()
 
     # -- API --------------------------------------------------------------
 
@@ -573,17 +551,6 @@ class AsyncCheckpointer(_CheckpointerBase):
         blob = _serialize(step, snapshot)
         pending = _PendingSave(step=step, blob=blob)
         with self._lock:
-            if (self.overflow == "error"
-                    and len(self._pending) >= self.buffer_slots):
-                raise CheckpointError(
-                    f"persist buffer full ({self.buffer_slots} slots)")
-            if self.overflow == "block":
-                waited = self._slot_free.wait_for(
-                    lambda: len(self._pending) < self.buffer_slots,
-                    timeout=30.0)
-                if not waited:
-                    raise CheckpointError(
-                        "timed out waiting for a persist buffer slot")
             while len(self._pending) >= self.buffer_slots:
                 victim = min(self._pending, key=lambda p: p.step)
                 self._pending.remove(victim)
@@ -594,13 +561,12 @@ class AsyncCheckpointer(_CheckpointerBase):
         self.saves += 1
         return self.clock.now() - started
 
-    def flush(self, timeout: float = 30.0,
-              raise_on_failed: bool = True) -> None:
+    def flush(self, timeout: float = 30.0) -> None:
         """Block until every queued snapshot has been attempted.
 
-        With ``raise_on_failed`` (default), raises
-        :class:`CheckpointError` if any persist attempted since the last
-        flush exhausted its retries — those generations are lost.
+        Raises :class:`CheckpointError` if any persist attempted since
+        the last flush exhausted its retries — those generations are
+        lost.
         """
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
@@ -613,13 +579,12 @@ class AsyncCheckpointer(_CheckpointerBase):
         if self._error is not None:
             raise CheckpointError(
                 "background persist failed") from self._error
-        if raise_on_failed:
-            fresh = self.failed_steps[self._failed_reported:]
-            self._failed_reported = len(self.failed_steps)
-            if fresh:
-                raise CheckpointError(
-                    f"persist failed for steps {fresh}; pipeline health "
-                    f"is {self.health.value}")
+        fresh = self.failed_steps[self._failed_reported:]
+        self._failed_reported = len(self.failed_steps)
+        if fresh:
+            raise CheckpointError(
+                f"persist failed for steps {fresh}; pipeline health "
+                f"is {self.health.value}")
 
     def close(self, join_timeout: float = 10.0) -> None:
         """Flush pending work and stop the background thread.

@@ -126,10 +126,17 @@ class HotSparePool:
         migrated onto it); the victim becomes available standby
         capacity.  Returns the covering spare's name, or None if the
         victim was never swapped.
+
+        A victim that was itself a spare still covers the node it
+        replaced; that coverage passes to the spare that replaced it
+        (F→S→T becomes F→T), so the victim is never both available and
+        allocated.
         """
         for spare, covered in sorted(self.allocated.items()):
             if covered == victim:
                 del self.allocated[spare]
+                if victim in self.allocated:
+                    self.allocated[spare] = self.allocated.pop(victim)
                 insort(self._available, victim)
                 return spare
         return None

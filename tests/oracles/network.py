@@ -1,9 +1,9 @@
-"""Reference max-min fair water-filling: pure python, no cache.
+"""Reference max-min fair water-filling: pure python.
 
 ``max_min_fair_rates_scalar`` is the plain progressive filling that
 ``repro.cluster.network.max_min_fair_rates`` must reproduce: exactly
-for the small flow sets it fills in python (and caches), and to float
-summation noise (1e-9 relative) for the numpy filling it uses from
+for the small flow sets it fills in python, and to float summation
+noise (1e-9 relative) for the numpy filling it uses from
 ``_VECTOR_MIN_FLOWS`` flows up.
 """
 

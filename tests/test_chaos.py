@@ -347,6 +347,16 @@ class TestHarness:
             with pytest.raises(RuntimeError):
                 node.uncordon()
 
+    def test_repaired_spare_of_a_faulty_node_is_only_standby(self):
+        """A spare covering a node escalated to FAULTY is convicted,
+        swapped out and repaired: invariant 13 must still hold."""
+        scenario = replace(BUNDLED_SCENARIOS["flaky-node"], seed=7,
+                           hot_spares=2, n_straggler_faults=1, n_faults=7)
+        result = run_scenario(scenario)
+        assert result.summary.spare_swaps >= 2
+        kinds = {entry[1] for entry in result.event_log}
+        assert "spare_reclaimed" in kinds
+
     def test_script_failures_are_not_resubmitted(self):
         # seeds until a script fault lands on a running job, then check
         # the harness refused to restart it

@@ -44,6 +44,16 @@ class TestStorageStorm:
         assert (storm.summary.fallback_lost_iterations
                 == storm.checker.fallback_lost)
 
+    def test_scratch_restore_bills_the_whole_plan(self):
+        """Invariant 8 on a restore that finds no readable generation:
+        at seed 23 the planned step 240 is lost in full."""
+        result = run_scenario(
+            BUNDLED_SCENARIOS["storage-storm"].with_seed(23))
+        assert any(kind == "restore_scratch"
+                   for _, kind, _ in result.event_log)
+        assert result.summary.fallback_lost_iterations == 240
+        assert result.summary.restore_fallbacks == 1
+
     def test_run_is_deterministic(self, storm):
         again = run_scenario(BUNDLED_SCENARIOS["storage-storm"])
         assert again.event_log == storm.event_log

@@ -292,10 +292,8 @@ class TestMultiGenerationRestore:
 class TestAsyncResilience:
     def test_worker_survives_persist_failure(self):
         """A dead backend must not silently kill the drain thread."""
-        failures = []
-        ckpt = AsyncCheckpointer(
-            DeadStorage(), buffer_slots=4, retry=FAST_RETRY,
-            on_persist_failure=lambda step, err: failures.append(step))
+        ckpt = AsyncCheckpointer(DeadStorage(), buffer_slots=4,
+                                 retry=FAST_RETRY)
         ckpt.save(1, state(size=64))
         with pytest.raises(CheckpointError):
             ckpt.flush()
@@ -304,63 +302,17 @@ class TestAsyncResilience:
         with pytest.raises(CheckpointError):
             ckpt.flush()
         assert ckpt.failed_steps == [1, 2]
-        assert failures == [1, 2]
         assert ckpt.health is PersistHealth.FAILED
         ckpt.close()  # already-reported failures don't block shutdown
 
     def test_flush_without_raise_on_failed(self):
+        """A loss no flush reported raises from close()."""
         ckpt = AsyncCheckpointer(DeadStorage(), retry=FAST_RETRY)
         ckpt.save(1, state(size=64))
-        ckpt.flush(raise_on_failed=False)
+        with pytest.raises(CheckpointError):
+            ckpt.close()  # the unreported loss surfaces here
         assert ckpt.failed_steps == [1]
-        with pytest.raises(CheckpointError):
-            ckpt.close()  # the unreported loss still surfaces here
         assert not ckpt._worker.is_alive()  # ... but shutdown completed
-
-    def test_sick_callback_does_not_kill_worker(self):
-        def bad_callback(step, err):
-            raise RuntimeError("callback bug")
-
-        ckpt = AsyncCheckpointer(DeadStorage(), retry=FAST_RETRY,
-                                 on_persist_failure=bad_callback)
-        ckpt.save(1, state(size=64))
-        with pytest.raises(CheckpointError):
-            ckpt.flush()
-        assert ckpt._worker.is_alive()
-        ckpt.close()
-
-    def test_overflow_error_policy_raises_when_full(self):
-        release = threading.Event()
-        inner = InMemoryStorage()
-
-        class Gated:
-            def write(self, key, blob):
-                release.wait(timeout=10.0)
-                inner.write(key, blob)
-
-            read, keys, delete = inner.read, inner.keys, inner.delete
-
-        ckpt = AsyncCheckpointer(Gated(), buffer_slots=1,
-                                 overflow="error")
-        ckpt.save(1, state(size=64))  # parks in the single slot
-        with pytest.raises(CheckpointError):
-            ckpt.save(2, state(size=64))
-        release.set()
-        ckpt.close()
-
-    def test_overflow_block_policy_never_drops(self):
-        storage = InMemoryStorage(bandwidth=2e5)  # slow persists
-        with AsyncCheckpointer(storage, buffer_slots=1,
-                               overflow="block") as ckpt:
-            for step in range(4):
-                ckpt.save(step, state(step, size=256))
-            ckpt.flush()
-        assert ckpt.dropped == 0
-        assert storage.write_count == 4
-
-    def test_invalid_overflow_policy(self):
-        with pytest.raises(ValueError):
-            AsyncCheckpointer(InMemoryStorage(), overflow="panic")
 
     def test_close_raises_on_leaked_worker(self):
         """close() must not return cleanly while the thread lives on."""
@@ -413,68 +365,3 @@ class TestCostModel:
     def test_world_size_must_align_to_nodes(self):
         with pytest.raises(ValueError):
             self.model().cost(MODEL_7B, world_size=12)
-
-
-class TestShardedCheckpointer:
-    def shards(self, world, step, seed=0):
-        rng = np.random.default_rng(seed + step)
-        return [{"weights": rng.normal(size=128),
-                 "step": np.array([step])} for _ in range(world)]
-
-    def test_complete_round_trip(self):
-        from repro.core.sharded import ShardedCheckpointer
-
-        with ShardedCheckpointer(world_size=4) as ckpt:
-            ckpt.save(100, self.shards(4, 100))
-            ckpt.flush()
-            step, shards = ckpt.load_complete()
-        assert step == 100
-        assert len(shards) == 4
-
-    def test_partial_save_falls_back_to_last_complete(self):
-        """The recovery-consistency rule: a crash mid-flush must not
-        yield a checkpoint some ranks never wrote."""
-        from repro.core.sharded import demo_inconsistent_save
-
-        result = demo_inconsistent_save(world_size=4)
-        assert result["latest_complete_step"] == 100
-        assert result["loaded_step"] == 100
-
-    def test_no_complete_checkpoint_returns_none(self):
-        from repro.core.sharded import ShardedCheckpointer
-
-        with ShardedCheckpointer(world_size=2) as ckpt:
-            ckpt.save(50, self.shards(2, 50), fail_after_rank=0)
-            ckpt.flush()
-            assert ckpt.latest_complete_step() is None
-            assert ckpt.load_complete() is None
-
-    def test_latest_of_several_complete_steps(self):
-        from repro.core.sharded import ShardedCheckpointer
-
-        with ShardedCheckpointer(world_size=3) as ckpt:
-            for step in (10, 20, 30):
-                ckpt.save(step, self.shards(3, step))
-            ckpt.flush()
-            assert ckpt.latest_complete_step() == 30
-
-    def test_wrong_shard_count_rejected(self):
-        from repro.core.sharded import ShardedCheckpointer
-
-        with ShardedCheckpointer(world_size=3) as ckpt:
-            with pytest.raises(ValueError):
-                ckpt.save(1, self.shards(2, 1))
-
-    def test_total_state_accounting(self):
-        from repro.core.sharded import ShardedCheckpointer
-
-        with ShardedCheckpointer(world_size=2) as ckpt:
-            ckpt.save(5, self.shards(2, 5))
-            ckpt.flush()
-            assert ckpt.total_state_bytes() > 2 * 128 * 8
-
-    def test_invalid_world_size(self):
-        from repro.core.sharded import ShardedCheckpointer
-
-        with pytest.raises(ValueError):
-            ShardedCheckpointer(world_size=0)

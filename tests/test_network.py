@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.linkhealth import LinkHealth
-from repro.cluster.network import (FairShareLink, Flow, Link, NetworkFabric,
-                                   allreduce_time, alltoall_time,
-                                   max_min_fair_rates)
+from repro.cluster.network import (FairShareLink, Flow, allreduce_time,
+                                   alltoall_time, max_min_fair_rates)
 
 
 class TestFairShareLink:
@@ -121,64 +119,6 @@ class TestMaxMinFairness:
         again = max_min_fair_rates(links, shuffled)
         for flow_id, rate in rates.items():
             assert again[flow_id] == pytest.approx(rate)
-
-
-class TestFabric:
-    def test_duplicate_link_rejected(self):
-        fabric = NetworkFabric()
-        fabric.add_link(Link("a", 1.0))
-        with pytest.raises(ValueError):
-            fabric.add_link(Link("a", 2.0))
-
-    def test_transfer_times(self):
-        fabric = NetworkFabric()
-        fabric.add_link(Link("nic", 10.0))
-        flows = [Flow("a", ("nic",)), Flow("b", ("nic",))]
-        times = fabric.transfer_times(flows, {"a": 10.0, "b": 5.0})
-        assert times["a"] == pytest.approx(2.0)
-        assert times["b"] == pytest.approx(1.0)
-
-    def test_link_lookup(self):
-        fabric = NetworkFabric()
-        fabric.add_link(Link("nic", 10.0))
-        assert fabric.has_link("nic")
-        assert fabric.link("nic").bandwidth == 10.0
-
-
-class TestFabricWithHealth:
-    def make_fabric(self, health):
-        fabric = NetworkFabric(health=health)
-        fabric.add_link(Link("nic", 10.0))
-        return fabric
-
-    def test_degraded_link_scales_rates(self):
-        health = LinkHealth()
-        health.link_degraded("nic", start=0.0, end=100.0, factor=0.5)
-        fabric = self.make_fabric(health)
-        rates = fabric.rates([Flow("a", ("nic",))], at=50.0)
-        assert rates["a"] == pytest.approx(5.0)
-
-    def test_window_over_restores_full_rate(self):
-        health = LinkHealth()
-        health.link_degraded("nic", start=0.0, end=100.0, factor=0.5)
-        fabric = self.make_fabric(health)
-        rates = fabric.rates([Flow("a", ("nic",))], at=100.0)
-        assert rates["a"] == pytest.approx(10.0)
-
-    def test_downed_link_means_infinite_transfer(self):
-        health = LinkHealth()
-        health.link_down("nic", start=0.0, end=100.0)
-        fabric = self.make_fabric(health)
-        times = fabric.transfer_times([Flow("a", ("nic",))],
-                                      {"a": 10.0}, at=10.0)
-        assert times["a"] == float("inf")
-
-    def test_empty_overlay_is_a_no_op(self):
-        healthy = NetworkFabric()
-        healthy.add_link(Link("nic", 10.0))
-        overlaid = self.make_fabric(LinkHealth())
-        flows = [Flow("a", ("nic",)), Flow("b", ("nic",))]
-        assert overlaid.rates(flows, at=5.0) == healthy.rates(flows)
 
 
 class TestCollectiveModels:

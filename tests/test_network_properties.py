@@ -5,7 +5,7 @@ water-filling and LinkHealth lookups and diffs them against the
 reference bodies in ``tests/oracles/``:
 
 * below ``_VECTOR_MIN_FLOWS`` flows, dispatch equals the pure-python
-  oracle exactly, cached or not; from there up, the numpy filling
+  oracle exactly, on every call; from there up, the numpy filling
   agrees to 1e-9 relative (float summation order is the only
   permitted difference);
 * classic max-min invariants hold on whichever path dispatch picks:
@@ -22,8 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.linkhealth import LinkFault, LinkHealth
-from repro.cluster.network import (_VECTOR_MIN_FLOWS, Flow,
-                                   clear_rate_cache, _fill_vector,
+from repro.cluster.network import (_VECTOR_MIN_FLOWS, Flow, _fill_vector,
                                    max_min_fair_rates)
 
 from .oracles.linkhealth import factor_scan
@@ -92,15 +91,14 @@ class TestWaterFilling:
     @given(fabrics(max_flows=_VECTOR_MIN_FLOWS - 1))
     @settings(max_examples=60, deadline=None)
     def test_small_n_cache_matches_reference_exactly(self, fabric):
-        """Below it, every call equals the oracle, cached or not.
+        """Below it, every call equals the oracle exactly.
 
-        The cache is kept across examples, so a key that leaves out an
-        input shows up here as a stale hit.
+        The second call would catch state one call leaves behind.
         """
         links, flows = fabric
         reference = max_min_fair_rates_scalar(links, flows)
         assert max_min_fair_rates(links, flows) == reference
-        assert max_min_fair_rates(links, flows) == reference  # a hit
+        assert max_min_fair_rates(links, flows) == reference
 
     @given(fabrics())
     @settings(max_examples=60, deadline=None)
@@ -161,10 +159,9 @@ class TestWaterFilling:
 
     def test_small_n_cache_returns_fresh_dicts(self):
         """Mutating a returned result must not poison later calls."""
-        clear_rate_cache()
         links = {"l": 10.0}
         flows = [Flow("a", ("l",)), Flow("b", ("l",))]
-        for _ in range(3):  # a cache miss, then hits
+        for _ in range(3):
             rates = max_min_fair_rates(links, flows)
             assert rates == {"a": 5.0, "b": 5.0}
             rates["a"] = -1.0

@@ -591,6 +591,17 @@ class TestHotSparePool:
         assert pool.available == ("victim",)
         assert not pool.allocated
 
+    def test_reclaimed_spare_hands_its_coverage_on(self):
+        """F→S→T: when S is repaired, T covers F and S is only standby."""
+        pool = HotSparePool(["S", "T"])
+        assert pool.acquire("F") == "S"
+        assert pool.acquire("S") == "T"
+        assert pool.reclaim("S") == "T"
+        assert pool.available == ("S",)
+        assert pool.allocated == {"T": "F"}
+        assert pool.reclaim("F") == "T"
+        assert pool.allocated == {}
+
     def test_reclaim_unknown_victim_is_none(self):
         pool = HotSparePool(["s0"])
         assert pool.reclaim("never-swapped") is None

@@ -1,58 +1,6 @@
-"""Tests for cluster topology and the cluster factories."""
-
-import pytest
+"""Tests for the cluster factories."""
 
 from repro.cluster.cluster import make_acme, make_kalos, make_seren
-from repro.cluster.machine import Node, seren_node_spec
-from repro.cluster.topology import ClusterTopology
-
-
-def small_topology(nodes=4):
-    return ClusterTopology([Node(name=f"n{i}", spec=seren_node_spec())
-                            for i in range(nodes)])
-
-
-class TestTopology:
-    def test_total_gpus(self):
-        assert small_topology(4).total_gpus == 32
-
-    def test_address_mapping(self):
-        topo = small_topology()
-        addr = topo.address(13)
-        assert addr.node_index == 1
-        assert addr.local_index == 5
-
-    def test_address_out_of_range(self):
-        with pytest.raises(IndexError):
-            small_topology().address(999)
-
-    def test_same_node(self):
-        topo = small_topology()
-        assert topo.same_node(0, 7)
-        assert not topo.same_node(7, 8)
-
-    def test_intra_node_group_uses_nvlink(self):
-        topo = small_topology()
-        bandwidth = topo.group_bandwidth(list(range(8)))
-        assert bandwidth == topo.nodes[0].spec.gpu.nvlink_bandwidth
-
-    def test_cross_node_group_uses_nic_share(self):
-        topo = small_topology()
-        # 16 GPUs across 2 nodes: 8 members share each node's NIC.
-        bandwidth = topo.group_bandwidth(list(range(16)))
-        expected = topo.nodes[0].spec.total_network_bandwidth / 8
-        assert bandwidth == pytest.approx(expected)
-
-    def test_strided_group(self):
-        topo = small_topology()
-        assert topo.strided_group(0, 8, 4) == [0, 8, 16, 24]
-
-    def test_strided_group_out_of_range(self):
-        with pytest.raises(IndexError):
-            small_topology().strided_group(0, 8, 5)
-
-    def test_contiguous_group(self):
-        assert small_topology().contiguous_group(4, 4) == [4, 5, 6, 7]
 
 
 class TestClusterFactories:
