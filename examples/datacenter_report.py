@@ -11,8 +11,7 @@ Run:  python examples/datacenter_report.py [--jobs N]
 import argparse
 
 from repro.analysis import figures, tables
-from repro.analysis.report import (render_cdf_summary, render_key_values,
-                                   render_table)
+from repro.analysis.report import render_key_values, render_table
 
 
 def section(title):

@@ -23,6 +23,7 @@ than re-repring the whole queue on every call.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Callable, Iterator
 
 from repro.scheduler.job import Job, JobType
@@ -88,18 +89,17 @@ class JobQueue:
         Requires :meth:`ensure_priority_index`.  Equivalent to sorting
         all pending jobs stably by priority class and slicing — without
         touching jobs beyond the first ``limit``.  ``limit=None``
-        returns every pending job; ``limit=0`` returns none.
+        returns every pending job; ``limit=0`` returns none.  The
+        buckets are chained and sliced in C, with no Python step per
+        job.
         """
         if self._priority_fn is None:
             raise RuntimeError("priority index not built; call "
                                "ensure_priority_index first")
-        out: list[Job] = []
-        for priority in sorted(self._buckets):
-            for job in self._buckets[priority].values():
-                if len(out) == limit:
-                    return out
-                out.append(job)
-        return out
+        buckets = self._buckets
+        return list(islice(chain.from_iterable(
+            [buckets[priority].values() for priority in sorted(buckets)]),
+            limit))
 
     # -- views -------------------------------------------------------------
 

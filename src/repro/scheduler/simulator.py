@@ -101,6 +101,10 @@ class SchedulerSimulator:
         #: kept as a running total so a blocked reserved-pool candidate
         #: learns in O(1) whether eviction could make room
         self._borrowed = 0
+        #: queued demands per pool, ``pool -> {gpu_demand: count}``, so
+        #: a pass learns from the distinct demands alone whether any
+        #: queued job could start (see ``_can_act``)
+        self._queued: dict[str, dict[int, int]] = {}
         #: GPUs held by running jobs, kept as a running total so the
         #: chaos invariant checker reads it in O(1) after every event
         self.gpus_allocated = 0
@@ -189,7 +193,7 @@ class SchedulerSimulator:
         job = self.queue.get(job_id)
         if job is None:
             raise KeyError(f"job {job_id} is not queued")
-        self.queue.remove(job)
+        self._dequeue(job, self.policy.pool_of(job))
         job.mark_canceled(self.engine.now)
         if reason is not None:
             job.failure_reason = reason
@@ -252,7 +256,7 @@ class SchedulerSimulator:
             self.engine.call_after(job.duration,
                                    lambda: self._on_cpu_finish(job))
             return
-        self.queue.push(job)
+        self._enqueue(job)
         self._wait_spans[job.job_id] = self.tracer.begin(
             f"wait:{job.job_id}", "scheduler.queue",
             job_type=job.job_type.value, gpus=job.gpu_demand)
@@ -286,19 +290,14 @@ class SchedulerSimulator:
     def _try_schedule(self) -> None:
         """Start queued jobs until a pass over the window starts none.
 
-        Each pass fixes its window (the policy's first
+        A pass begins only while some queued job could act
+        (``_can_act``).  Each pass fixes its window (the policy's first
         ``backfill_depth`` jobs) before the first fit attempt, so jobs
         an eviction puts back in the queue wait for the next pass.
         """
         config, policy, queue = self.config, self.policy, self.queue
         preempt = config.preempt_borrowers
-        while queue:
-            # Capacity gate, exact: every queued job demands >= 1 GPU,
-            # so with both pools empty ``_fit`` fails for any demand and
-            # pool, and without an evictable borrower nothing can start.
-            if (self.free_reserved + self.free_shared == 0
-                    and not (preempt and self._borrowed)):
-                return
+        while queue and self._can_act():
             for job in policy.ordered(queue, config.backfill_depth):
                 pool = policy.pool_of(job)
                 demand = job.gpu_demand
@@ -313,6 +312,39 @@ class SchedulerSimulator:
                 break  # re-evaluate priorities after every start
             else:
                 return
+
+    def _can_act(self) -> bool:
+        """Whether some queued job could start or evict a borrower now.
+
+        Asks every queued demand, a superset of any window, what
+        ``_fit`` and the early return of ``_evict_borrowers_for`` ask
+        of one job, so a pass it skips would have changed nothing
+        (docs/PERF.md, "Why the gate is exact").  The reserved bound is
+        monotone in the demand, so the smallest decides; borrowing
+        makes the shared one not, so every distinct demand is asked.
+        Any other pool acts, so ``_fit`` still rejects it.
+        """
+        free_reserved, free_shared = self.free_reserved, self.free_shared
+        for pool, demands in self._queued.items():
+            if not demands:
+                continue
+            if pool == "reserved":
+                room = free_reserved
+                if self.config.reserved_spillover:
+                    room += free_shared
+                if self.config.preempt_borrowers:
+                    room += self._borrowed
+                if min(demands) <= room:
+                    return True
+            elif pool == "shared":
+                capacity = self._shared_capacity
+                free = free_reserved + free_shared
+                for demand in demands:
+                    if demand <= free_shared or capacity < demand <= free:
+                        return True
+            else:
+                return True
+        return False
 
     def _evict_borrowers_for(self, demand: int) -> bool:
         """Preempt best-effort jobs holding reserved GPUs until
@@ -350,13 +382,29 @@ class SchedulerSimulator:
         self._release(allocation)
         job.mark_preempted(self.engine.now)
         self.preemptions += 1
-        self.queue.push(job)
+        self._enqueue(job)
         self._end_run_span(job, "preempt")
         self._wait_spans[job.job_id] = self.tracer.begin(
             f"wait:{job.job_id}", "scheduler.queue", preempted=True,
             job_type=job.job_type.value, gpus=job.gpu_demand)
         self._record_occupancy()
         self._notify("preempt", job)
+
+    def _enqueue(self, job: Job) -> None:
+        """Queue ``job`` and count its demand under its pool."""
+        self.queue.push(job)
+        demands = self._queued.setdefault(self.policy.pool_of(job), {})
+        demands[job.gpu_demand] = demands.get(job.gpu_demand, 0) + 1
+
+    def _dequeue(self, job: Job, pool: str) -> None:
+        """Unqueue ``job`` and uncount its demand from ``pool``."""
+        self.queue.remove(job)
+        demands = self._queued[pool]
+        count = demands[job.gpu_demand]
+        if count == 1:
+            del demands[job.gpu_demand]
+        else:
+            demands[job.gpu_demand] = count - 1
 
     def _release(self, allocation: _Allocation) -> None:
         """Return an ended allocation's GPUs to the pools."""
@@ -392,7 +440,7 @@ class SchedulerSimulator:
 
     def _start(self, job: Job, allocation: _Allocation,
                pool: str = "shared") -> None:
-        self.queue.remove(job)
+        self._dequeue(job, pool)
         self.free_reserved -= allocation.from_reserved
         self.free_shared -= allocation.from_shared
         self.gpus_allocated += (allocation.from_reserved

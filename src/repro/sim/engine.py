@@ -40,20 +40,17 @@ class SimulationError(RuntimeError):
 
 
 class _ScheduledItem:
-    """One heap entry.
+    """The handle of one scheduled callback.
 
-    A slotted plain class rather than a dataclass: the generated
-    ``order=True`` ``__lt__`` allocates a comparison tuple per call,
-    and heap sift operations compare items millions of times in a
-    full-trace run.
+    The heap holds ``(time, seq, item)`` triples, so sift operations
+    compare tuples in C: ``seq`` is unique, so a comparison never
+    reaches the item, which needs no ordering of its own.  A slotted
+    plain class, so creating one per scheduled callback stays cheap.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "in_heap")
+    __slots__ = ("callback", "cancelled", "in_heap")
 
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[[], None]) -> None:
-        self.time = time
-        self.seq = seq
+    def __init__(self, callback: Callable[[], None]) -> None:
         self.callback = callback
         self.cancelled = False
         # Whether this item is physically buried in the heap.  The
@@ -62,16 +59,10 @@ class _ScheduledItem:
         # time was reached but another same-timestamp callback killed
         # it before dispatch) must not count as buried garbage, or
         # ``pending`` drifts negative.
-        self.in_heap = False
-
-    def __lt__(self, other: "_ScheduledItem") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+        self.in_heap = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"_ScheduledItem(time={self.time!r}, seq={self.seq!r}, "
-                f"cancelled={self.cancelled!r})")
+        return f"_ScheduledItem(cancelled={self.cancelled!r})"
 
 
 @dataclass(frozen=True)
@@ -260,7 +251,9 @@ class Engine:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[_ScheduledItem] = []
+        #: (time, seq, item) triples; (time, seq) is a strict total
+        #: order, so heapq never compares two items
+        self._heap: list[tuple[float, int, _ScheduledItem]] = []
         # plain int, not itertools.count(): the next sequence number is
         # part of the engine's restorable state (see snapshot())
         self._next_seq = 0
@@ -276,10 +269,9 @@ class Engine:
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < {self.now}")
-        item = _ScheduledItem(time, self._next_seq, callback)
+        item = _ScheduledItem(callback)
+        heapq.heappush(self._heap, (time, self._next_seq, item))
         self._next_seq += 1
-        item.in_heap = True
-        heapq.heappush(self._heap, item)
         return item
 
     def call_after(self, delay: float, callback: Callable[[], None]
@@ -314,11 +306,12 @@ class Engine:
     def _compact(self) -> None:
         """Drop cancelled items and re-heapify (order-preserving)."""
         live = []
-        for item in self._heap:
+        for entry in self._heap:
+            item = entry[2]
             if item.cancelled:
                 item.in_heap = False
             else:
-                live.append(item)
+                live.append(entry)
         self._heap = live
         heapq.heapify(self._heap)
         self._cancelled = 0
@@ -430,18 +423,18 @@ class Engine:
         heap = self._heap
         heappop = heapq.heappop
         while heap:
-            item = heap[0]
+            time, _, item = heap[0]
             if item.cancelled:
                 heappop(heap)
                 item.in_heap = False
                 self._cancelled -= 1
                 continue
-            if until is not None and item.time > until:
+            if until is not None and time > until:
                 self.now = until
                 return self.now
             heappop(heap)
             item.in_heap = False
-            self.now = item.time
+            self.now = time
             # Per-event snapshot of the copy-on-write listener list,
             # taken *before* the callback: a listener attached inside
             # the callback (or inside another listener) is absent from
@@ -472,8 +465,8 @@ class Engine:
 
     def snapshot(self) -> EngineSnapshot:
         """Capture the engine's restorable state (see EngineSnapshot)."""
-        heap = tuple(sorted((item.time, item.seq, item.cancelled)
-                            for item in self._heap))
+        heap = tuple(sorted((time, seq, item.cancelled)
+                            for time, seq, item in self._heap))
         return EngineSnapshot(now=self.now, next_seq=self._next_seq,
                               events_processed=self._events_processed,
                               heap=heap)

@@ -4,7 +4,7 @@
 three of them:
 
 * ``_try_schedule`` pairs every job in the policy's window with its
-  pool on every pass, whether or not any GPU is free;
+  pool on every pass, whether or not any queued job could fit;
 * ``_evict_borrowers_for`` rescans every allocation for borrowers on
   every blocked reserved-pool candidate;
 * ``state_digest`` reprs the whole queue as one tuple.
@@ -108,3 +108,13 @@ def allocated_gpus(sim: SchedulerSimulator) -> int:
     """GPUs held by running jobs, recounted."""
     return sum(allocation.from_reserved + allocation.from_shared
                for allocation in sim._allocations.values())
+
+
+def queued_demands(sim: SchedulerSimulator) -> dict[str, dict[int, int]]:
+    """Queued demands per pool, ``pool -> {gpu_demand: count}``,
+    recounted from the queue by the policy's ``pool_of``."""
+    counts: dict[str, dict[int, int]] = {}
+    for job in sim.queue:
+        demands = counts.setdefault(sim.policy.pool_of(job), {})
+        demands[job.gpu_demand] = demands.get(job.gpu_demand, 0) + 1
+    return counts

@@ -7,9 +7,8 @@ import pytest
 
 from repro.analysis.tables import chaos_recovery_table
 from repro.chaos import (BUNDLED_SCENARIOS, ChaosHarness, ChaosScenario,
-                         GPUS_PER_NODE, InvariantChecker,
-                         InvariantViolation, PRETRAIN_JOB_ID,
-                         run_scenario)
+                         InvariantChecker, InvariantViolation,
+                         PRETRAIN_JOB_ID, run_scenario)
 from repro.cli import main
 from repro.cluster.machine import Node, NodeHealth, seren_node_spec
 from repro.core.recovery.controller import HotSparePool, RecoveryPlan

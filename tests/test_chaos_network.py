@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos import (BUNDLED_SCENARIOS, ChaosHarness, ChaosScenario,
+from repro.chaos import (BUNDLED_SCENARIOS, ChaosHarness,
                          InvariantViolation, run_scenario)
 from repro.chaos.fabric import MIN_FACTOR
 from repro.chaos.invariants import InvariantChecker

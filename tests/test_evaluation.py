@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.evaluation.datasets import (DATASET_CATALOG, EvalDataset,
-                                       dataset_by_name, standard_catalog)
+from repro.evaluation.datasets import (DATASET_CATALOG, dataset_by_name,
+                                       standard_catalog)
 from repro.evaluation.harness import (EvalStage, EvalTrial,
                                       humaneval_profile)
 

@@ -1,16 +1,19 @@
 """Differential test: the scheduler's hot paths against their reference.
 
-``SchedulerSimulator`` skips rounds that cannot start anything, keeps
-running borrower and allocated totals, asks a job's pool only when it
-examines the job, and digests the queue from cached text.  Each of
-those is exact by construction; this file checks it by driving the
-simulator and the reference in ``tests/oracles/scheduler.py`` side by
-side through random submits, advances, failures, sheds and cordons,
-and comparing them after every engine event and every call.
+``SchedulerSimulator`` skips passes in which no queued job could start
+or evict a borrower, keeps running borrower, allocated and per-pool
+queued-demand totals, asks a job's pool only when it examines the job,
+and digests the queue from cached text.  Each of those is exact by
+construction; this file checks it by driving the simulator and the
+reference in ``tests/oracles/scheduler.py`` (which tries every job in
+its window on every pass) side by side through random submits,
+advances, failures, sheds and cordons, comparing them and recounting
+the running totals after every engine event and every call.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +23,7 @@ from repro.scheduler.policy import (FifoPolicy, PriorityPolicy,
 from repro.scheduler.simulator import SchedulerConfig, SchedulerSimulator
 
 from .oracles.scheduler import (ReferenceSchedulerSimulator, allocated_gpus,
-                                borrowed_reserved)
+                                borrowed_reserved, queued_demands)
 
 JOB_TYPES = (JobType.PRETRAIN, JobType.SFT, JobType.DEBUG,
              JobType.EVALUATION)
@@ -51,6 +54,7 @@ class Twin:
             sim.engine.add_listener(
                 lambda now, sim=sim, log=states: log.append(state(sim)))
             self.hooks[name], self.states[name] = hooks, states
+        self.new.engine.add_listener(lambda now: self.check_totals())
         self.submitted = 0
 
     def each(self, action) -> None:
@@ -62,8 +66,15 @@ class Twin:
         assert self.hooks["new"] == self.hooks["ref"]
         assert self.states["new"] == self.states["ref"]
         assert state(self.new) == state(self.ref)
-        assert self.new._borrowed == borrowed_reserved(self.new)
-        assert self.new.gpus_allocated == allocated_gpus(self.new)
+        self.check_totals()
+
+    def check_totals(self) -> None:
+        """The simulator's running totals equal a recount."""
+        sim = self.new
+        assert sim._borrowed == borrowed_reserved(sim)
+        assert sim.gpus_allocated == allocated_gpus(sim)
+        assert {pool: demands for pool, demands in sim._queued.items()
+                if demands} == queued_demands(sim)
 
     def submit(self, job_type: JobType, demand: int, duration: float,
                delay: float = 0.0) -> str:
@@ -157,6 +168,89 @@ def test_large_best_effort_job_borrows_past_a_smaller_blocked_one():
     assert [job.job_id for job in twin.new.queue] == [smaller]
     assert twin.new._borrowed == 2
     assert (twin.new.free_reserved, twin.new.free_shared) == (6, 0)
+
+
+def fit_calls(sim: SchedulerSimulator) -> list[tuple[int, str]]:
+    """Record every ``_fit`` call ``sim`` makes from now on."""
+    calls: list[tuple[int, str]] = []
+    fit = sim._fit
+
+    def counted(demand: int, pool: str):
+        calls.append((demand, pool))
+        return fit(demand, pool)
+
+    sim._fit = counted
+    return calls
+
+
+def test_pass_below_every_queued_demand_makes_no_fit_call():
+    """Three GPUs are free, but once the one job that fits them is shed,
+    every queued job needs more than it could get: a pass then fits
+    nothing, evicts nothing and changes nothing, where the reference
+    still tries the job in its window."""
+    twin = Twin(SchedulerConfig(total_gpus=10, reserved_fraction=0.8,
+                                backfill_depth=1))
+    twin.submit(JobType.PRETRAIN, 6, 100.0)
+    twin.submit(JobType.EVALUATION, 1, 100.0)
+    twin.advance(1.0)
+    # 2 reserved and 1 shared GPU free, and no borrower
+    blocked = twin.submit(JobType.PRETRAIN, 4, 100.0)
+    # not above the shared capacity (2), so it cannot borrow
+    small = twin.submit(JobType.EVALUATION, 2, 100.0)
+    # fits the free shared GPU, but behind the one-job window
+    fits = twin.submit(JobType.DEBUG, 1, 100.0)
+    twin.advance(1.0)
+    assert (twin.new.free_reserved, twin.new.free_shared) == (2, 1)
+    new_calls, ref_calls = fit_calls(twin.new), fit_calls(twin.ref)
+    twin.each(lambda sim: sim._try_schedule())
+    # the gate reads the whole queue, so the window is still tried
+    assert new_calls == ref_calls == [(4, "reserved")]
+    twin.shed(2)
+    new_calls.clear()
+    ref_calls.clear()
+    before = (state(twin.new), list(twin.hooks["new"]))
+    twin.each(lambda sim: sim._try_schedule())
+    assert new_calls == []
+    assert ref_calls == [(4, "reserved")]
+    assert (state(twin.new), twin.hooks["new"]) == before
+    assert [job.job_id for job in twin.new.queue] == [blocked, small]
+    assert fits in {job.job_id for job in twin.new.shed}
+
+
+def test_reserved_job_that_fits_only_by_eviction_evicts_and_starts():
+    """The free reserved and shared GPUs fall one short of the
+    pretraining job; the borrower's reserved GPU makes up the
+    difference, so the pass runs, evicts the borrower and starts it."""
+    twin = Twin(SchedulerConfig(total_gpus=10, reserved_fraction=0.8))
+    borrower = twin.submit(JobType.EVALUATION, 3, 100.0)
+    twin.advance(1.0)
+    assert twin.new._borrowed == 1
+    assert (twin.new.free_reserved, twin.new.free_shared) == (7, 0)
+    pretrain = twin.submit(JobType.PRETRAIN, 8, 100.0)
+    twin.advance(1.0)
+    assert twin.hooks["new"] == [
+        ("start", borrower), ("preempt", borrower), ("start", pretrain)]
+    assert [job.job_id for job in twin.new.queue] == [borrower]
+    assert twin.new._borrowed == 0
+    assert (twin.new.free_reserved, twin.new.free_shared) == (0, 2)
+    twin.advance(1e6)
+    assert len(twin.new.finished) == 2
+
+
+class SparePoolPolicy(FifoPolicy):
+    """Sends every job to a pool the simulator does not have."""
+
+    def pool_of(self, job: Job) -> str:
+        return "spare"
+
+
+def test_unknown_pool_still_raises():
+    sim = SchedulerSimulator(SchedulerConfig(total_gpus=4),
+                             SparePoolPolicy())
+    sim.submit(Job(job_id="j0", cluster="kalos", job_type=JobType.DEBUG,
+                   submit_time=0.0, duration=1.0, gpu_demand=1))
+    with pytest.raises(ValueError, match="unknown pool 'spare'"):
+        sim.engine.run()
 
 
 def test_one_release_starts_more_jobs_than_the_window_holds():

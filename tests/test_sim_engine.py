@@ -663,7 +663,8 @@ class TestCancelAccounting:
                          for i in range(_COMPACT_MIN_CANCELLED + 1)]
                 for item in storm:
                     engine.cancel(item)  # crosses compaction threshold
-            live = sum(1 for item in engine._heap if not item.cancelled)
+            live = sum(1 for _, _, item in engine._heap
+                       if not item.cancelled)
             assert engine.pending == live
             assert engine._cancelled >= 0
         engine.run()
@@ -716,10 +717,10 @@ class TestEngineSnapshot:
         fired_a, fired_b = [], []
 
         def run_to_end(engine, fired):
-            for item in list(engine._heap):
+            for time, _, item in list(engine._heap):
                 if not item.cancelled:
                     item.callback = (
-                        lambda t=item.time: fired.append(t))
+                        lambda t=time: fired.append(t))
             engine.run()
             return fired
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.monitor.timeseries import (MetricStore, UtilizationSeries,
-                                      record_cluster_utilization)
+from repro.monitor.timeseries import MetricStore, record_cluster_utilization
 from repro.scheduler.job import Job, JobType
 from repro.scheduler.simulator import SchedulerConfig, SchedulerSimulator
 
