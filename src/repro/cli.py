@@ -36,6 +36,18 @@ def _bundled_scenario_names() -> list[str]:
     return list(BUNDLED_SCENARIOS)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1 (else a usage error)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _cmd_generate_trace(args: argparse.Namespace) -> int:
     from repro.workload.generator import TraceGenerator
     from repro.workload.spec import KALOS_SPEC, SEREN_SPEC
@@ -420,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="generate a synthetic Acme job trace")
     gen.add_argument("--cluster", choices=("seren", "kalos"),
                      default="kalos")
-    gen.add_argument("--jobs", type=int, default=10_000)
+    gen.add_argument("--jobs", type=_positive_int, default=10_000,
+                     help="number of GPU jobs (at least 1)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--cpu-jobs", action="store_true",
                      help="include CPU-only jobs")

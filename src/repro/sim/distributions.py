@@ -9,6 +9,7 @@ single seed reproduces an entire synthetic trace.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,9 +48,17 @@ class Uniform(Distribution):
     def __post_init__(self) -> None:
         if self.high < self.low:
             raise ValueError("high must be >= low")
+        # numpy's uniform rejects, at every draw, a span that is not
+        # finite or has its sign bit set (``Uniform(0.0, -0.0)``)
+        span = float(self.high) - float(self.low)
+        if not math.isfinite(span) or math.copysign(1.0, span) < 0:
+            raise ValueError("high - low must be finite and non-negative")
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
+        # ``rng.uniform(low, high)`` computed as numpy does it, from the
+        # same one double, without its per-call overhead.
+        low = float(self.low)
+        return low + (float(self.high) - low) * rng.random()
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=n)
@@ -149,6 +158,29 @@ class Empirical(Distribution):
         return rng.choice(self.values, size=n)
 
 
+def _normalized(weights: Sequence[float]) -> tuple[np.ndarray, list[float]]:
+    """Weights scaled to sum to 1, and the CDF a scalar pick bisects.
+
+    ``rng.choice(k, p=p)`` builds ``cdf = p.cumsum(); cdf /= cdf[-1]`` on
+    every call and returns ``cdf.searchsorted(rng.random(), side="right")``.
+    Built once here, ``bisect_right(cdf, rng.random())`` picks the same
+    index from the same one double.  numpy also checks ``p`` on every
+    call; the checks it would fail are made here instead.
+    """
+    values = np.asarray(weights, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("weights must be finite")
+    if (values < 0).any():
+        raise ValueError("weights must be non-negative")
+    total = float(sum(weights))
+    if not 0 < total < math.inf:
+        raise ValueError("weights must sum to a positive value")
+    values = values / total
+    cdf = values.cumsum()
+    cdf /= cdf[-1]
+    return values, cdf.tolist()
+
+
 class Mixture(Distribution):
     """A weighted mixture of component distributions."""
 
@@ -158,15 +190,12 @@ class Mixture(Distribution):
             raise ValueError("components and weights must align")
         if len(components) == 0:
             raise ValueError("mixture must have at least one component")
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
         self.components = list(components)
-        self.weights = np.asarray(weights, dtype=float) / total
+        self.weights, self._cdf = _normalized(weights)
 
     def sample(self, rng: np.random.Generator) -> float:
-        index = int(rng.choice(len(self.components), p=self.weights))
-        return self.components[index].sample(rng)
+        component = self.components[bisect_right(self._cdf, rng.random())]
+        return component.sample(rng)
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         counts = rng.multinomial(n, self.weights)
@@ -186,16 +215,12 @@ class Choice:
             raise ValueError("options and weights must align")
         if len(options) == 0:
             raise ValueError("at least one option required")
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
         self.options = list(options)
-        self.weights = np.asarray(weights, dtype=float) / total
+        self.weights, self._cdf = _normalized(weights)
 
     def sample(self, rng: np.random.Generator):
-        index = int(rng.choice(len(self.options), p=self.weights))
-        return self.options[index]
+        return self.options[bisect_right(self._cdf, rng.random())]
 
     def sample_many(self, rng: np.random.Generator, n: int) -> list:
         indices = rng.choice(len(self.options), size=n, p=self.weights)
-        return [self.options[int(i)] for i in indices]
+        return [self.options[i] for i in indices.tolist()]

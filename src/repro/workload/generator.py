@@ -97,26 +97,24 @@ class TraceGenerator:
                        count: int) -> list[Job]:
         if count == 0:
             return []
-        times = self._arrival_times(rng, count, spec.batch_size)
+        times = self._arrival_times(rng, count, spec.batch_size).tolist()
         demands = spec.gpu_demand.sample_many(rng, count)
-        durations = spec.duration.sample_many(rng, count)
+        durations = spec.duration.sample_many(rng, count).tolist()
         statuses = self._sample_statuses(rng, spec, count)
         jobs = []
-        for i in range(count):
-            duration = float(durations[i])
-            status = statuses[i]
+        for submit_time, demand, duration, status in zip(
+                times, demands, durations, statuses):
             if status is FinalStatus.FAILED:
                 duration *= spec.failed_duration_factor.sample(rng)
             elif status is FinalStatus.CANCELED:
                 duration *= spec.canceled_duration_factor.sample(rng)
-            duration = max(duration, 1.0)
             job = Job(
                 job_id="pending",
                 cluster=self.spec.cluster,
                 job_type=spec.job_type,
-                submit_time=float(times[i]),
-                duration=duration,
-                gpu_demand=int(demands[i]),
+                submit_time=submit_time,
+                duration=max(duration, 1.0),
+                gpu_demand=int(demand),
                 final_status=status,
                 gpu_utilization=self._sample_utilization(rng, status),
             )
@@ -134,26 +132,27 @@ class TraceGenerator:
         utilization = self.spec.utilization.sample(rng)
         # Failed jobs die early, often before reaching steady-state compute;
         # bias them toward the idle mode of the polarized distribution.
-        if status is FinalStatus.FAILED and rng.uniform() < 0.35:
-            utilization = float(rng.uniform(0.0, 0.10))
-        return float(np.clip(utilization, 0.0, 1.0))
+        # ``rng.uniform(0.0, b)`` is ``0.0 + b * rng.random()`` in numpy.
+        if status is FinalStatus.FAILED and rng.random() < 0.35:
+            utilization = 0.10 * rng.random()
+        return min(max(utilization, 0.0), 1.0)
 
     def _generate_cpu_jobs(self, rng: np.random.Generator, count: int
                            ) -> list[Job]:
         if count <= 0:
             return []
-        times = self._diurnal_times(rng, count)
-        durations = rng.lognormal(np.log(60.0), 1.2, size=count)
+        times = self._diurnal_times(rng, count).tolist()
+        durations = rng.lognormal(np.log(60.0), 1.2, size=count).tolist()
         jobs = []
-        for i in range(count):
-            status = (FinalStatus.COMPLETED if rng.uniform() < 0.7
+        for submit_time, duration in zip(times, durations):
+            status = (FinalStatus.COMPLETED if rng.random() < 0.7
                       else FinalStatus.FAILED)
             jobs.append(Job(
                 job_id="pending",
                 cluster=self.spec.cluster,
                 job_type=JobType.OTHER,
-                submit_time=float(times[i]),
-                duration=float(max(durations[i], 1.0)),
+                submit_time=submit_time,
+                duration=max(duration, 1.0),
                 gpu_demand=0,
                 cpu_demand=int(rng.integers(1, 16)),
                 final_status=status,

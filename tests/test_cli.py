@@ -31,6 +31,16 @@ class TestGenerateAndAnalyze:
         trace = Trace.from_csv(out)
         assert len(trace.cpu_jobs()) > 0
 
+    @pytest.mark.parametrize("jobs", ["0", "-5", "ten"])
+    def test_generate_rejects_non_positive_jobs(self, jobs, tmp_path,
+                                                capsys):
+        out = tmp_path / "trace.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate-trace", "--jobs", jobs, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analyze_prints_mix(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         main(["generate-trace", "--jobs", "400", "--out", str(out)])

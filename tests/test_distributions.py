@@ -1,6 +1,7 @@
 """Tests for the seedable distributions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,24 @@ class TestBasics:
     def test_uniform_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             Uniform(5.0, 2.0)
+
+    def test_uniform_rejects_infinite_bound(self):
+        with pytest.raises(ValueError, match="finite"):
+            Uniform(0.0, math.inf)
+
+    def test_uniform_rejects_range_that_overflows(self):
+        with pytest.raises(ValueError, match="finite"):
+            Uniform(-1e308, 1e308)
+
+    def test_uniform_rejects_nan_bound(self):
+        with pytest.raises(ValueError, match="finite"):
+            Uniform(math.nan, 1.0)
+
+    def test_uniform_rejects_negative_zero_span(self):
+        # -0.0 - 0.0 is -0.0, which numpy's uniform rejects as negative
+        with pytest.raises(ValueError, match="non-negative"):
+            Uniform(0.0, -0.0)
+        assert Uniform(-0.0, 0.0).sample(rng()) == 0.0
 
     def test_exponential_mean(self):
         samples = Exponential(10.0).sample_many(rng(), 20000)
@@ -140,3 +159,40 @@ class TestChoice:
     def test_non_numeric_options_supported(self):
         choice = Choice([{"x": 1}, {"x": 2}], [1, 1])
         assert choice.sample(rng()) in ({"x": 1}, {"x": 2})
+
+
+def _choice(weights):
+    return Choice(list(range(len(weights))), weights)
+
+
+def _mixture(weights):
+    return Mixture([Constant(float(i)) for i in range(len(weights))],
+                   weights)
+
+
+@pytest.mark.parametrize("build", [_choice, _mixture],
+                         ids=["Choice", "Mixture"])
+class TestWeightValidation:
+    """Bad weights fail at construction, not at the first ``sample``."""
+
+    def test_rejects_negative_weight(self, build):
+        with pytest.raises(ValueError, match="non-negative"):
+            build([-0.5, 1.5])
+
+    def test_rejects_nan_weight(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build([math.nan, 1.0])
+
+    def test_rejects_infinite_weight_without_warning(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                build([math.inf, 1.0])
+
+    def test_rejects_sum_that_overflows(self, build):
+        with pytest.raises(ValueError, match="positive"):
+            build([1e308, 1e308])
+
+    def test_accepts_zero_and_tiny_weights(self, build):
+        dist = build([0.0, 5e-324, 0.0])
+        assert dist.sample(rng()) == 1

@@ -3,6 +3,9 @@
 Tolerances reflect the 8,000-job sample size of the session fixtures.
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,47 @@ class TestStructure:
             200, include_cpu_jobs=True)
         assert len(trace.cpu_jobs()) > 0
         assert len(trace.gpu_jobs()) == 200
+
+
+#: sha256 of every field of every job (one ``repr`` line per job) of a
+#: 3,000-GPU-job trace, by (cluster, seed, include_cpu_jobs).  A change
+#: to any draw, to the order of the draws or to a field's type moves it.
+TRACE_PINS = {
+    ("kalos", 0, False):
+        "b455d5a12cd4a44ae538e639957fa6be670b606137d55ddef3bcec2e62ec427f",
+    ("kalos", 0, True):
+        "9115c0afd6733e3954d37fa806eef8feadf24d289d131420a2b19b6c70472ce0",
+    ("kalos", 7, False):
+        "04d6c431454618c27b7a716e6e034e4e9b196ec6a675ca918cb85452abf6cec4",
+    ("kalos", 7, True):
+        "97772f2613b04703dce8a27902ea4dd403fa1f95f3eae9c5cb2c4815e8b58e00",
+    ("seren", 0, False):
+        "4a8e0662fdbd00c02fc134a2ce90653ee1a01425c5d9ca25818cb249984ba1ab",
+    ("seren", 0, True):
+        "2d1aaadd5d26ed3a20bf6d500e47668eff58d38e2c0d4b6e0a158c6fa2909d8c",
+    ("seren", 7, False):
+        "50524450681442cdeba060f70efcb0abec4eaac49189d11504b7afff97e71659",
+    ("seren", 7, True):
+        "d9178faea39c54eff259f73e4acdf861f82213a1367d0fadf95daeddf9df3de7",
+}
+
+
+def trace_sha256(trace) -> str:
+    digest = hashlib.sha256()
+    for job in trace.jobs:
+        values = [getattr(job, field.name)
+                  for field in dataclasses.fields(job)]
+        digest.update(f"{values!r}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(("cluster", "seed", "cpu_jobs"), list(TRACE_PINS))
+def test_trace_matches_its_pin(cluster, seed, cpu_jobs):
+    spec = {"kalos": KALOS_SPEC, "seren": SEREN_SPEC}[cluster]
+    trace = TraceGenerator(spec, seed=seed).generate(
+        3000, include_cpu_jobs=cpu_jobs)
+    assert len(trace.gpu_jobs()) == 3000
+    assert trace_sha256(trace) == TRACE_PINS[cluster, seed, cpu_jobs]
 
 
 class TestWorkloadMix:
