@@ -17,15 +17,6 @@ def cdf(values) -> tuple[np.ndarray, np.ndarray]:
     return ordered, probability
 
 
-def cdf_at(values, points) -> np.ndarray:
-    """CDF evaluated at arbitrary points."""
-    array = np.sort(np.asarray(values, dtype=float))
-    points = np.asarray(points, dtype=float)
-    if array.size == 0:
-        return np.zeros_like(points)
-    return np.searchsorted(array, points, side="right") / array.size
-
-
 def percentile(values, q: float) -> float:
     """The q-th percentile of a sample."""
     array = np.asarray(values, dtype=float)
@@ -71,15 +62,3 @@ def boxplot_stats(values) -> BoxplotStats:
     return BoxplotStats(q1=q1, median=q2, q3=q3,
                         whisker_low=float(inside.min()),
                         whisker_high=float(inside.max()))
-
-
-def weighted_share(keys, weights) -> dict:
-    """Normalized share of ``weights`` grouped by ``keys``."""
-    totals: dict = {}
-    total = 0.0
-    for key, weight in zip(keys, weights):
-        totals[key] = totals.get(key, 0.0) + weight
-        total += weight
-    if total == 0:
-        return {key: 0.0 for key in totals}
-    return {key: value / total for key, value in totals.items()}

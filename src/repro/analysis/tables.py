@@ -112,28 +112,3 @@ def table3_category_summary(rows: list[dict] | None = None) -> dict:
     totals["paper_infrastructure_gpu_time_pct"] = (
         category_gpu_time_shares()[FailureCategory.INFRASTRUCTURE])
     return totals
-
-
-def chaos_recovery_table(summaries: list) -> list[dict]:
-    """Per-scenario recovery numbers from chaos runs (compare §6.1.2).
-
-    Takes :class:`repro.chaos.ChaosSummary` objects and lines them up the
-    way Table 3's restart columns and the §6.1 recovery claims are
-    reported: failure pressure (MTTF), response (MTTR), the cost (wasted
-    GPU-hours, goodput), and how much of it needed no human.
-    """
-    rows = []
-    for summary in summaries:
-        rows.append({
-            "scenario": summary.scenario,
-            "faults": summary.faults_injected,
-            "mttf_h": summary.mttf_hours,
-            "mttr_min": summary.mttr_minutes,
-            "recovery_rate": summary.recovery_success_rate,
-            "automation_rate": summary.automation_rate,
-            "goodput": summary.pretrain_goodput,
-            "wasted_gpu_h": summary.wasted_gpu_hours,
-            "escalated_nodes": summary.nodes_escalated,
-        })
-    rows.sort(key=lambda row: row["scenario"])
-    return rows

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -45,6 +46,19 @@ def _positive_int(text: str) -> int:
             f"expected an integer, got {text!r}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a finite number above 0 (else a usage error)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text}")
     return value
 
 
@@ -148,7 +162,11 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     config = catalog[args.model]
     storage = SharedStorage(backend_bandwidth=800e9,
                             node_nic_bandwidth=25e9)
-    cost = CheckpointCostModel(storage).cost(config, args.gpus)
+    try:
+        cost = CheckpointCostModel(storage).cost(config, args.gpus)
+    except ValueError as error:
+        print(f"invalid override: --gpus {args.gpus}: {error}")
+        return 2
     print(render_key_values({
         "model": config.describe(),
         "model state (TB)": config.model_state_bytes / 1e12,
@@ -321,6 +339,13 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     except InvariantViolation as violation:
         print(f"INVARIANT VIOLATION: {violation}")
         return 2
+    except ValueError as error:
+        # the slot count sets the overload watermarks, which the
+        # config validates
+        if args.slots is None:
+            raise
+        print(f"invalid override: --slots {args.slots}: {error}")
+        return 2
     print(render_report(report))
     if args.smoke:
         saturated = [cell for cell in report.cells
@@ -453,8 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     evalsched = sub.add_parser(
         "evalsched", help="run the §6.2 makespan experiment")
-    evalsched.add_argument("--nodes", type=int, default=4)
-    evalsched.add_argument("--model-scale", type=float, default=1.0)
+    evalsched.add_argument("--nodes", type=_positive_int, default=4)
+    evalsched.add_argument("--model-scale", type=_positive_float,
+                           default=1.0)
     evalsched.set_defaults(func=_cmd_evalsched)
 
     checkpoint = sub.add_parser(
@@ -507,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--eval-bursts-per-hour", type=float,
                        default=2.0,
                        help="eval-burst arrival rate (0 disables)")
-    serve.add_argument("--eval-batch", type=int, default=8,
+    serve.add_argument("--eval-batch", type=_positive_int, default=8,
                        help="trials per eval burst")
     serve.add_argument("--selfcheck", action="store_true",
                        help="snapshot, restore, advance again, and "
@@ -528,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="accept-all,queue-depth,"
                                   "token-bucket,weighted-quota",
                           help="comma-separated admission policy kinds")
-    loadtest.add_argument("--horizon-hours", type=float, default=None,
+    loadtest.add_argument("--horizon-hours", type=_positive_float,
+                          default=None,
                           help="simulated hours per cell (default: "
                                "the scenario's full duration)")
     loadtest.add_argument("--slots", type=int, default=None,

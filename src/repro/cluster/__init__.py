@@ -7,9 +7,8 @@ paper's characterization figures, which depend only on resource arithmetic.
 """
 
 from repro.cluster.machine import GpuSpec, NodeSpec, Gpu, Node, A100_SXM_80GB
-from repro.cluster.cluster import Cluster, make_seren, make_kalos, make_acme
-from repro.cluster.network import FairShareLink
-from repro.cluster.storage import SharedStorage, LoadRequest
+from repro.cluster.cluster import Cluster, make_seren, make_kalos
+from repro.cluster.storage import SharedStorage
 from repro.cluster.fattree import FatTree, FatTreeConfig, factor_table
 from repro.cluster.linkhealth import (
     LinkFault,
@@ -28,10 +27,7 @@ __all__ = [
     "Cluster",
     "make_seren",
     "make_kalos",
-    "make_acme",
-    "FairShareLink",
     "SharedStorage",
-    "LoadRequest",
     "FatTree",
     "FatTreeConfig",
     "factor_table",

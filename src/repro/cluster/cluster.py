@@ -109,10 +109,3 @@ def make_kalos(node_count: int = 302) -> Cluster:
     return _make_cluster("kalos", kalos_node_spec(), node_count,
                          scheduler_kind="kubernetes",
                          backend_bandwidth=800e9)
-
-
-def make_acme(seren_nodes: int = 286, kalos_nodes: int = 302
-              ) -> dict[str, Cluster]:
-    """Both Acme LLM clusters, keyed by name."""
-    return {"seren": make_seren(seren_nodes),
-            "kalos": make_kalos(kalos_nodes)}

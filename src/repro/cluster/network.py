@@ -1,14 +1,12 @@
 """Bandwidth-sharing network model.
 
-Transfers through a shared link receive a max-min fair share of its
-capacity.  For one link that is :class:`FairShareLink`, the contention
-model behind the model-loading stress test (Fig. 16 left, through
-:mod:`repro.cluster.storage`): N concurrent single-GPU evaluation trials
-on one node share the node's 25 Gb/s storage NIC, so per-trial loading
-speed collapses roughly as 1/N until trials spread across nodes.
-:func:`max_min_fair_rates` generalizes it to flows crossing several
-named links, each given by its capacity (scaled by its
-:class:`~repro.cluster.linkhealth.LinkHealth` factor when faulted).
+Transfers through shared links receive a max-min fair share of their
+capacity: :func:`max_min_fair_rates` fills flows crossing several named
+links, each given by its capacity (scaled by its
+:class:`~repro.cluster.linkhealth.LinkHealth` factor when faulted).  The
+one-link case behind the model-loading stress test (Fig. 16 left) is an
+equal split that :class:`repro.cluster.storage.SharedStorage` computes
+itself.
 
 The model is analytic (progressive filling) rather than packet-level: the
 paper's observations are about steady-state throughput, not transport
@@ -155,37 +153,6 @@ def _fill_vector(links: dict[str, float],
         active &= ~frozen
     return {flow.flow_id: float(rates[row])
             for row, flow in enumerate(flows)}
-
-
-class FairShareLink:
-    """A single link shared equally by concurrent transfers.
-
-    Convenience wrapper used where only one bottleneck matters (the storage
-    NIC).  ``rate_for(n)`` gives the per-transfer rate with ``n`` sharers.
-    """
-
-    def __init__(self, bandwidth: float) -> None:
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        self.bandwidth = bandwidth
-
-    def rate_for(self, concurrent: int, per_flow_cap: float = float("inf")
-                 ) -> float:
-        """Per-transfer rate with ``concurrent`` equal sharers."""
-        if concurrent <= 0:
-            raise ValueError("concurrent must be positive")
-        return min(self.bandwidth / concurrent, per_flow_cap)
-
-    def transfer_time(self, size_bytes: float, concurrent: int = 1,
-                      per_flow_cap: float = float("inf")) -> float:
-        """Seconds to move ``size_bytes`` at the fair-share steady rate."""
-        if size_bytes < 0:
-            raise ValueError("size_bytes must be non-negative")
-        if size_bytes == 0:
-            # An empty transfer completes instantly even when the fair
-            # share is zero (per_flow_cap 0 / fully contended link).
-            return 0.0
-        return size_bytes / self.rate_for(concurrent, per_flow_cap)
 
 
 def allreduce_time(size_bytes: float, world: int, bandwidth: float,

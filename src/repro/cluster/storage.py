@@ -8,8 +8,7 @@ matter for the paper's experiments:
 * model *reads* from many concurrent evaluation trials contend on each
   node's storage NIC (Fig. 16 left), collapsing per-trial load speed.
 
-Both are bandwidth arithmetic, which this module models directly, plus a
-discrete-event interface used by the evaluation coordinator simulation.
+Both are bandwidth arithmetic, which this module models directly.
 
 The second half of the module is the **storage fault domain**: Table 3
 lists network-storage outages as a recurring Kalos failure class, so the
@@ -25,13 +24,10 @@ pluggable :class:`MonotonicClock` / :class:`VirtualClock` /
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from repro.cluster.network import FairShareLink
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 
 
 class StorageError(OSError):
@@ -40,14 +36,6 @@ class StorageError(OSError):
 
 class StorageUnavailableError(StorageError):
     """The storage backend is unreachable (outage window or flake)."""
-
-
-@dataclass(frozen=True)
-class LoadRequest:
-    """A request to read ``size_bytes`` onto a node through its storage NIC."""
-
-    node: str
-    size_bytes: float
 
 
 class SharedStorage:
@@ -116,38 +104,6 @@ class SharedStorage:
             rate = self.per_trial_load_rate(per_node, trials)
             results.append((trials, rate))
         return results
-
-
-class StorageVolume:
-    """Discrete-event storage endpoint for one node's NIC.
-
-    Transfers time-share the NIC; for simplicity each transfer observes the
-    contention level at the moment it starts (adequate because evaluation
-    loads in the coordinator start in batches).
-    """
-
-    def __init__(self, engine: Engine, nic_bandwidth: float) -> None:
-        self.engine = engine
-        self.link = FairShareLink(nic_bandwidth)
-        self.active_transfers = 0
-
-    def read(self, size_bytes: float) -> Event:
-        """Start a read; the returned event fires on completion."""
-        self.active_transfers += 1
-        duration = self.link.transfer_time(size_bytes,
-                                           self.active_transfers)
-        done = self.engine.event()
-
-        def finish() -> None:
-            self.active_transfers -= 1
-            done.succeed(size_bytes)
-
-        self.engine.call_after(duration, finish)
-        return done
-
-    def read_process(self, size_bytes: float) -> Iterator:
-        """Generator form for use inside simulation processes."""
-        yield self.read(size_bytes)
 
 
 # -- clocks ----------------------------------------------------------------

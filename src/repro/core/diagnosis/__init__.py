@@ -27,7 +27,6 @@ from repro.core.diagnosis.rules import RuleBasedDiagnoser, DiagnosisRule
 from repro.core.diagnosis.agents import (LogAgent, FailureAgent,
                                          DiagnosisSystem, Diagnosis)
 from repro.core.diagnosis.self_consistency import majority_vote
-from repro.core.diagnosis.replay import ReplayReport, replay_trace_failures
 
 __all__ = [
     "TemplateMiner",
@@ -47,6 +46,4 @@ __all__ = [
     "DiagnosisSystem",
     "Diagnosis",
     "majority_vote",
-    "ReplayReport",
-    "replay_trace_failures",
 ]

@@ -12,19 +12,15 @@ Three techniques behind the trial coordinator:
    heavy-CPU-metric trials prioritized so their metric work overlaps.
 """
 
-from repro.core.evalsched.loading import (ModelStager, LoadPlanComparison,
-                                          loading_stress_test)
+from repro.core.evalsched.loading import ModelStager, loading_stress_test
 from repro.core.evalsched.packing import (PackedAssignment, lpt_pack,
                                           elastic_decompose, pack_makespan)
 from repro.core.evalsched.coordinator import (TrialCoordinator,
                                               EvaluationRound,
                                               CoordinatorConfig)
-from repro.core.evalsched.simulation import (EventDrivenEvalRound,
-                                             SimulatedRound)
 
 __all__ = [
     "ModelStager",
-    "LoadPlanComparison",
     "loading_stress_test",
     "PackedAssignment",
     "lpt_pack",
@@ -33,6 +29,4 @@ __all__ = [
     "TrialCoordinator",
     "EvaluationRound",
     "CoordinatorConfig",
-    "EventDrivenEvalRound",
-    "SimulatedRound",
 ]

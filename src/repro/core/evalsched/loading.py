@@ -64,25 +64,6 @@ class ModelStager:
                 + self.model_bytes / self.deserialize_rate)
 
 
-@dataclass(frozen=True)
-class LoadPlanComparison:
-    """Baseline vs decoupled loading cost for one evaluation round."""
-
-    baseline_per_trial: float
-    precursor_wall: float
-    staged_per_trial: float
-
-    def total_baseline(self, n_trials: int, gpus: int) -> float:
-        """Aggregate serialized load time across trial waves."""
-        waves = -(-n_trials // gpus)  # ceil
-        return waves * self.baseline_per_trial
-
-    def total_staged(self, n_trials: int, gpus: int) -> float:
-        """Aggregate decoupled loading cost across trial waves."""
-        waves = -(-n_trials // gpus)
-        return self.precursor_wall + waves * self.staged_per_trial
-
-
 def loading_stress_test(storage: SharedStorage, model_bytes: float,
                         trial_counts: list[int] | None = None,
                         gpus_per_node: int = 8

@@ -2,7 +2,7 @@
 
 * ``nccl_test`` — the two-round NCCL allgather procedure that pinpoints
   faulty nodes;
-* ``detector`` — training-anomaly detectors (loss spikes, hangs);
+* ``detector`` — training-anomaly detectors (loss spikes, stragglers);
 * ``controller`` — the orchestrator that ties diagnosis, detection,
   cordoning, and checkpoint rollback into automatic restarts.
 """
@@ -13,7 +13,7 @@ from repro.core.recovery.nccl_test import (CollectiveTester,
                                            leaf_segment, pod_segment,
                                            localize_network_faults,
                                            two_round_nccl_test, World)
-from repro.core.recovery.detector import (LossSpikeDetector, HangDetector,
+from repro.core.recovery.detector import (LossSpikeDetector,
                                           StepTimeDeviationDetector,
                                           AnomalyEvent)
 from repro.core.recovery.controller import (RecoveryController,
@@ -32,7 +32,6 @@ __all__ = [
     "two_round_nccl_test",
     "World",
     "LossSpikeDetector",
-    "HangDetector",
     "StepTimeDeviationDetector",
     "AnomalyEvent",
     "RecoveryController",

@@ -2,10 +2,11 @@
 
 Three situations demand a restart: (1) an error inside the job — handled
 by the diagnosis system; (2) a loss spike that does not recover; (3) a
-stuck training process.  This module covers (2) and (3), plus the
-failure class in between: a job that neither errors nor hangs but whose
-step time quietly drifts upward (a straggling node), detected from the
-observed timeseries alone.
+stuck training process.  This module covers (2), plus the failure class
+between errors and hangs: a job whose step time quietly drifts upward
+(a straggling node), detected from the observed timeseries alone.  The
+chaos harness injects (3) directly as an ``AnomalyEvent`` of kind
+``"hang"``.
 """
 
 from __future__ import annotations
@@ -113,34 +114,4 @@ class StepTimeDeviationDetector:
                            f"{self.patience} consecutive probes")
         else:
             self._streak = 0
-        return None
-
-
-class HangDetector:
-    """Flags a stuck job: no step progress within ``timeout`` seconds.
-
-    Appendix A.1 motivates this: jobs stalling on silent infrastructure
-    issues wasted large-scale resources until someone noticed manually.
-    """
-
-    def __init__(self, timeout: float = 1800.0) -> None:
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
-        self.timeout = timeout
-        self._last_step: int | None = None
-        self._last_progress_time: float | None = None
-
-    def heartbeat(self, time: float, step: int) -> AnomalyEvent | None:
-        """Report the current (wall time, step); returns an event on hang."""
-        if self._last_step is None or step > self._last_step:
-            self._last_step = step
-            self._last_progress_time = time
-            return None
-        assert self._last_progress_time is not None
-        stalled = time - self._last_progress_time
-        if stalled >= self.timeout:
-            self._last_progress_time = time  # re-arm after reporting
-            return AnomalyEvent(
-                kind="hang", step=step,
-                detail=f"no progress for {stalled:.0f}s")
         return None

@@ -11,8 +11,7 @@ from repro.failures.taxonomy import (FailureCategory, FailureSpec,
                                      taxonomy_by_category)
 from repro.failures.injector import FailureInjector, FailureEvent
 from repro.failures.logs import LogGenerator, generate_job_log
-from repro.failures.reliability import (GoodputModel, mtbf_from_events,
-                                        interval_sweep)
+from repro.failures.reliability import GoodputModel, interval_sweep
 from repro.failures.thermal import (ThermalHazardModel,
                                     scenario_failure_rates)
 
@@ -27,7 +26,6 @@ __all__ = [
     "LogGenerator",
     "generate_job_log",
     "GoodputModel",
-    "mtbf_from_events",
     "interval_sweep",
     "ThermalHazardModel",
     "scenario_failure_rates",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.failures.taxonomy import (TAXONOMY, FailureCategory, FailureSpec)
-from repro.scheduler.job import FinalStatus, Job
+from repro.scheduler.job import FinalStatus
 from repro.sim.distributions import lognormal_from_median_mean
 from repro.workload.trace import Trace
 
@@ -140,31 +140,3 @@ class FailureInjector:
         weights = weights / weights.sum()
         spec = heavy[int(rng.choice(len(heavy), p=weights))]
         return self._sample_reason(spec, 1, rng)[0]
-
-
-def events_to_jobs(events: list[FailureEvent]) -> list[Job]:
-    """Materialize failure events as failed Job records (for analysis)."""
-    jobs = []
-    for index, event in enumerate(events):
-        job = Job(
-            job_id=f"fail-{index:06d}",
-            cluster=event.cluster,
-            job_type=_job_type_for(event),
-            submit_time=0.0,
-            duration=event.time_to_failure_min * 60.0,
-            gpu_demand=event.gpu_demand,
-            final_status=FinalStatus.FAILED,
-            failure_reason=event.reason,
-        )
-        jobs.append(job)
-    return jobs
-
-
-def _job_type_for(event: FailureEvent):
-    from repro.scheduler.job import JobType
-
-    if event.gpu_demand >= 128:
-        return JobType.PRETRAIN
-    if event.gpu_demand <= 8:
-        return JobType.EVALUATION
-    return JobType.DEBUG

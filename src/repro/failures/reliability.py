@@ -1,9 +1,8 @@
-"""Reliability analysis: MTBF, goodput, and optimal checkpoint interval.
+"""Reliability analysis: goodput and optimal checkpoint interval.
 
-Connects the Table 3 failure statistics to the §6.1 checkpointing
+Connects a job's mean time between failures to the §6.1 checkpointing
 decisions:
 
-* per-category and job-level MTBF estimation from failure events;
 * expected goodput of a pretraining job as a function of checkpoint
   interval, blocking cost, and restart cost;
 * the Young/Daly optimal checkpoint interval
@@ -17,31 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from repro.failures.injector import FailureEvent
-from repro.failures.taxonomy import FailureCategory
-
-
-def mtbf_from_events(events: list[FailureEvent],
-                     category: FailureCategory | None = None,
-                     fleet_gpu_time_min: float | None = None) -> float:
-    """Mean time between failures, in minutes.
-
-    With ``fleet_gpu_time_min`` the estimate is normalized per GPU-hour
-    of exposure (failures are counted against how much work ran);
-    otherwise it is the mean observed time-to-failure of the events
-    themselves — the per-job view.
-    """
-    selected = [event for event in events
-                if category is None or event.category is category]
-    if not selected:
-        raise ValueError("no events in the selection")
-    if fleet_gpu_time_min is not None:
-        if fleet_gpu_time_min <= 0:
-            raise ValueError("fleet_gpu_time_min must be positive")
-        return fleet_gpu_time_min / len(selected)
-    return sum(event.time_to_failure_min
-               for event in selected) / len(selected)
 
 
 @dataclass(frozen=True)

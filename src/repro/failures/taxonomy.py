@@ -171,11 +171,6 @@ NETWORK_CHAOS_REASONS: dict[str, str] = {
 }
 
 
-def storage_spec() -> FailureSpec:
-    """The Table 3 row backing the storage fault domain."""
-    return taxonomy_by_reason()[STORAGE_CHAOS_REASON]
-
-
 def taxonomy_by_reason() -> dict[str, FailureSpec]:
     """Reason-name -> spec mapping."""
     return {spec.reason: spec for spec in TAXONOMY}

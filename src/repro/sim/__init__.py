@@ -1,21 +1,17 @@
 """Discrete-event simulation substrate.
 
 The paper's characterization is built on a real datacenter; we replay the
-same logic on a deterministic discrete-event engine.  Everything in the
-repository that involves time — the cluster scheduler, the evaluation
-coordinator, failure injection, checkpointing — runs on :class:`Engine`.
+same logic on a deterministic discrete-event engine.  The cluster
+scheduler, pretraining and its checkpoints, the chaos harness's fault
+injection and the streaming service run on :class:`Engine`.
 """
 
-from repro.sim.engine import (Engine, EngineSnapshot, Event, Process,
-                              Resource)
+from repro.sim.engine import Engine, EngineSnapshot
 from repro.sim.distributions import (
     Distribution,
     Constant,
     Uniform,
-    Exponential,
     LogNormal,
-    Pareto,
-    Empirical,
     Mixture,
     Choice,
     lognormal_from_median_mean,
@@ -24,16 +20,10 @@ from repro.sim.distributions import (
 __all__ = [
     "Engine",
     "EngineSnapshot",
-    "Event",
-    "Process",
-    "Resource",
     "Distribution",
     "Constant",
     "Uniform",
-    "Exponential",
     "LogNormal",
-    "Pareto",
-    "Empirical",
     "Mixture",
     "Choice",
     "lognormal_from_median_mean",

@@ -65,23 +65,6 @@ class Uniform(Distribution):
 
 
 @dataclass(frozen=True)
-class Exponential(Distribution):
-    """Exponential with the given mean (not rate)."""
-
-    mean: float
-
-    def __post_init__(self) -> None:
-        if self.mean <= 0:
-            raise ValueError("mean must be positive")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mean))
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.exponential(self.mean, size=n)
-
-
-@dataclass(frozen=True)
 class LogNormal(Distribution):
     """Log-normal parameterized by the underlying normal's mu/sigma."""
 
@@ -123,39 +106,6 @@ def lognormal_from_median_mean(median: float, mean: float) -> LogNormal:
         return LogNormal(math.log(median), 0.05)
     sigma = math.sqrt(2.0 * math.log(mean / median))
     return LogNormal(math.log(median), sigma)
-
-
-@dataclass(frozen=True)
-class Pareto(Distribution):
-    """Pareto (Lomax-shifted) with scale ``xm`` and shape ``alpha``."""
-
-    xm: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.xm <= 0 or self.alpha <= 0:
-            raise ValueError("xm and alpha must be positive")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.xm * (1.0 + rng.pareto(self.alpha)))
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.xm * (1.0 + rng.pareto(self.alpha, size=n))
-
-
-class Empirical(Distribution):
-    """Samples uniformly from a fixed pool of observed values."""
-
-    def __init__(self, values: Sequence[float]) -> None:
-        if len(values) == 0:
-            raise ValueError("values must be non-empty")
-        self.values = np.asarray(values, dtype=float)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.choice(self.values))
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(self.values, size=n)
 
 
 def _normalized(weights: Sequence[float]) -> tuple[np.ndarray, list[float]]:

@@ -5,17 +5,6 @@ absolute simulated times and executed in time order.  Ties are broken by a
 monotonically increasing sequence number so that runs are fully
 deterministic.
 
-Two convenience abstractions are layered on top:
-
-``Process``
-    A generator-based coroutine.  The generator yields delays (floats) or
-    :class:`Event` objects; the engine resumes it when the delay elapses or
-    the event fires.  This mirrors how long-running activities (a training
-    job, a checkpoint writer, a coordinator loop) are expressed.
-
-``Resource``
-    A counted resource with a FIFO wait queue (e.g. GPUs on a node).
-
 The engine is intentionally single-threaded and has no wall-clock
 dependency, which keeps every experiment in the repository reproducible.
 """
@@ -24,9 +13,8 @@ from __future__ import annotations
 
 import heapq
 import zlib
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable
+from typing import Callable
 
 #: lazy-deletion compaction thresholds: the heap is rebuilt when at
 #: least this many cancelled items are buried in it *and* they make up
@@ -94,157 +82,13 @@ class EngineSnapshot:
         return f"{zlib.crc32(canonical.encode('utf-8')):08x}"
 
 
-class Event:
-    """A one-shot event that processes can wait on.
-
-    An event carries an optional ``value`` set when it is succeeded.  Waiting
-    processes are resumed in the order they subscribed.
-    """
-
-    __slots__ = ("engine", "_callbacks", "triggered", "value")
-
-    def __init__(self, engine: "Engine") -> None:
-        self.engine = engine
-        self._callbacks: list[Callable[["Event"], None]] = []
-        self.triggered = False
-        self.value: Any = None
-
-    def subscribe(self, callback: Callable[["Event"], None]) -> None:
-        """Register ``callback`` to run when the event fires.
-
-        If the event already fired, the callback is scheduled immediately
-        (at the current simulated time) rather than being lost.
-        """
-        if self.triggered:
-            self.engine.call_at(self.engine.now, lambda: callback(self))
-        else:
-            self._callbacks.append(callback)
-
-    def succeed(self, value: Any = None) -> None:
-        """Fire the event, waking all subscribers at the current time."""
-        if self.triggered:
-            raise SimulationError("event already triggered")
-        self.triggered = True
-        self.value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            self.engine.call_at(self.engine.now, lambda cb=callback: cb(self))
-
-
-ProcessGenerator = Generator[Any, Any, Any]
-
-
-class Process:
-    """A generator-based simulated activity.
-
-    The wrapped generator may yield:
-
-    * a non-negative ``float``/``int`` — sleep for that many simulated
-      seconds;
-    * an :class:`Event` — suspend until the event fires; the event's value is
-      sent back into the generator.
-
-    When the generator returns, :attr:`done` fires with the return value.
-    """
-
-    __slots__ = ("engine", "generator", "done", "name")
-
-    def __init__(self, engine: "Engine", generator: ProcessGenerator,
-                 name: str = "") -> None:
-        self.engine = engine
-        self.generator = generator
-        self.done = Event(engine)
-        self.name = name or getattr(generator, "__name__", "process")
-        engine.call_at(engine.now, lambda: self._step(None))
-
-    def _step(self, send_value: Any) -> None:
-        try:
-            yielded = self.generator.send(send_value)
-        except StopIteration as stop:
-            self.done.succeed(stop.value)
-            return
-        if isinstance(yielded, Event):
-            yielded.subscribe(lambda event: self._step(event.value))
-        elif isinstance(yielded, (int, float)):
-            if yielded < 0:
-                raise SimulationError(
-                    f"process {self.name!r} yielded a negative delay: "
-                    f"{yielded!r}")
-            self.engine.call_at(self.engine.now + float(yielded),
-                                lambda: self._step(None))
-        else:
-            raise SimulationError(
-                f"process {self.name!r} yielded an unsupported value: "
-                f"{yielded!r}")
-
-
-class Resource:
-    """A counted resource with FIFO waiters.
-
-    ``acquire(n)`` returns an :class:`Event` that fires once ``n`` units are
-    granted; ``release(n)`` returns units and wakes eligible waiters in FIFO
-    order (head-of-line blocking is intentional — it mirrors how a quota
-    behaves in the paper's clusters; schedulers that want backfill implement
-    it above this primitive).
-    """
-
-    __slots__ = ("engine", "capacity", "available", "_waiters")
-
-    def __init__(self, engine: "Engine", capacity: int) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self.engine = engine
-        self.capacity = capacity
-        self.available = capacity
-        # deque, not list: _drain pops from the head, and a chaos storm
-        # can park thousands of waiters here — list.pop(0) made every
-        # drain O(queue length)
-        self._waiters: deque[tuple[int, Event]] = deque()
-
-    def acquire(self, amount: int = 1) -> Event:
-        """Request units; the returned event fires when granted."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        if amount > self.capacity:
-            raise SimulationError(
-                f"requested {amount} units from a resource of capacity "
-                f"{self.capacity}")
-        event = Event(self.engine)
-        self._waiters.append((amount, event))
-        self._drain()
-        return event
-
-    def release(self, amount: int = 1) -> None:
-        """Return units and wake eligible waiters."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        self.available += amount
-        if self.available > self.capacity:
-            raise SimulationError("released more units than were acquired")
-        self._drain()
-
-    def _drain(self) -> None:
-        while self._waiters and self._waiters[0][0] <= self.available:
-            amount, event = self._waiters.popleft()
-            self.available -= amount
-            event.succeed(amount)
-
-    @property
-    def in_use(self) -> int:
-        return self.capacity - self.available
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-
 class Engine:
     """The event loop.
 
     Typical use::
 
         engine = Engine()
-        engine.process(my_generator())
+        engine.call_at(60.0, on_timer)
         engine.run()            # until the heap drains
         engine.run(until=3600)  # or until a simulated deadline
     """
@@ -343,72 +187,6 @@ class Engine:
         listeners = list(self._listeners)
         listeners.remove(listener)
         self._listeners = listeners
-
-    # -- high-level helpers ------------------------------------------------
-
-    def event(self) -> Event:
-        """A fresh one-shot event bound to this engine."""
-        return Event(self)
-
-    def process(self, generator: ProcessGenerator, name: str = "") -> Process:
-        """Start a generator-based process."""
-        return Process(self, generator, name)
-
-    def resource(self, capacity: int) -> Resource:
-        """A counted FIFO resource of the given capacity."""
-        return Resource(self, capacity)
-
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that fires ``delay`` seconds from now."""
-        event = Event(self)
-        self.call_after(delay, lambda: event.succeed(value))
-        return event
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event that fires when every input event has fired.
-
-        The combined event's value is the list of individual values in the
-        order the inputs were given.
-        """
-        events = list(events)
-        combined = Event(self)
-        if not events:
-            self.call_at(self.now, lambda: combined.succeed([]))
-            return combined
-        remaining = [len(events)]
-        values: list[Any] = [None] * len(events)
-
-        def on_fire(index: int, event: Event) -> None:
-            values[index] = event.value
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                combined.succeed(values)
-
-        for index, event in enumerate(events):
-            event.subscribe(lambda ev, i=index: on_fire(i, ev))
-        return combined
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """An event that fires when the first input event fires.
-
-        An empty input is rejected: unlike :meth:`all_of` (vacuously
-        satisfied), "the first of nothing" can never fire, and silently
-        returning a dead event hangs the waiting process forever.
-        """
-        events = list(events)
-        if not events:
-            raise SimulationError(
-                "any_of() with no events would never fire; waiting on "
-                "nothing is a caller bug")
-        combined = Event(self)
-
-        def on_fire(event: Event) -> None:
-            if not combined.triggered:
-                combined.succeed(event.value)
-
-        for event in events:
-            event.subscribe(on_fire)
-        return combined
 
     # -- running -----------------------------------------------------------
 

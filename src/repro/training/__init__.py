@@ -59,12 +59,11 @@ __all__ += [
 ]
 
 from repro.training.dataloader import (DataloaderConfig,  # noqa: E402
-                                       DataloaderModel, paper_leak_example)
+                                       DataloaderModel)
 
 __all__ += [
     "DataloaderConfig",
     "DataloaderModel",
-    "paper_leak_example",
 ]
 
 from repro.training.extensions import (LongSequencePlan,  # noqa: E402

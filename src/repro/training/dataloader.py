@@ -92,17 +92,3 @@ class DataloaderModel:
     def is_fixed_configuration(self) -> bool:
         """The Appendix B mitigation: no fork workers, on-the-fly data."""
         return self.config.num_workers == 0 and self.config.on_the_fly
-
-
-def paper_leak_example() -> dict:
-    """The Appendix B numbers: leaky config dies in ~27 hours; the
-    num_workers=0 fix runs indefinitely."""
-    leaky = DataloaderModel(DataloaderConfig(num_workers=4))
-    fixed = DataloaderModel(DataloaderConfig(num_workers=0))
-    return {
-        "leaky_hours_until_killed": leaky.hours_until_killed(),
-        "fixed_hours_until_killed": fixed.hours_until_killed(),
-        "leaky_footprint_at_24h_gib":
-            leaky.footprint_bytes(24.0) / GIB,
-        "fixed_footprint_gib": fixed.footprint_bytes(24.0) / GIB,
-    }

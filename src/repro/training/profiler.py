@@ -150,13 +150,3 @@ class SmProfiler:
                if self.seed is not None else None)
         one_step = self.step_segments()
         return _segments_to_timeline(one_step * steps, resolution, rng)
-
-
-def profile_strategies(model: TransformerConfig,
-                       plans: list[ParallelismPlan],
-                       steps: int = 3,
-                       resolution: float = 0.02,
-                       ) -> dict[str, UtilizationTimeline]:
-    """Profile several strategies on the same model (Fig. 10 / 19)."""
-    return {plan.name: SmProfiler(model, plan).profile(steps, resolution)
-            for plan in plans}

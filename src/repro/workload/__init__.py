@@ -17,8 +17,6 @@ from repro.workload.baselines import (DatacenterProfile, PHILLY, HELIOS, PAI,
 from repro.workload.trace import Trace
 from repro.workload.validate import (Anchor, AnchorResult, PAPER_ANCHORS,
                                      calibration_report, validate_trace)
-from repro.workload.dataprep import (CorpusSource, DataPrepPipeline,
-                                     DEFAULT_MIXTURE)
 from repro.workload.streams import (ArrivalStream, EvalBurstConfig,
                                     EvalBurstStream, PoissonJobStream,
                                     PoissonStreamConfig,
@@ -42,9 +40,6 @@ __all__ = [
     "PAPER_ANCHORS",
     "calibration_report",
     "validate_trace",
-    "CorpusSource",
-    "DataPrepPipeline",
-    "DEFAULT_MIXTURE",
     "ArrivalStream",
     "EvalBurstConfig",
     "EvalBurstStream",

@@ -5,8 +5,7 @@ import pytest
 
 from repro.analysis.report import (render_cdf_summary, render_key_values,
                                    render_table)
-from repro.analysis.stats import (boxplot_stats, cdf, cdf_at, median,
-                                  percentile, weighted_share)
+from repro.analysis.stats import boxplot_stats, cdf, median, percentile
 
 
 class TestCdf:
@@ -18,10 +17,6 @@ class TestCdf:
     def test_cdf_empty(self):
         values, probability = cdf([])
         assert values.size == 0
-
-    def test_cdf_at_points(self):
-        result = cdf_at([1, 2, 3, 4], [0, 2.5, 10])
-        assert list(result) == pytest.approx([0.0, 0.5, 1.0])
 
     def test_percentile_and_median(self):
         data = list(range(1, 101))
@@ -50,17 +45,6 @@ class TestBoxplot:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             boxplot_stats([])
-
-
-class TestWeightedShare:
-    def test_shares_normalize(self):
-        shares = weighted_share(["a", "b", "a"], [1.0, 1.0, 2.0])
-        assert shares["a"] == pytest.approx(0.75)
-        assert sum(shares.values()) == pytest.approx(1.0)
-
-    def test_zero_weights(self):
-        shares = weighted_share(["a"], [0.0])
-        assert shares["a"] == 0.0
 
 
 class TestReport:

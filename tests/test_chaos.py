@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.tables import chaos_recovery_table
 from repro.chaos import (BUNDLED_SCENARIOS, ChaosHarness, ChaosScenario,
                          InvariantChecker, InvariantViolation,
                          PRETRAIN_JOB_ID, run_scenario)
@@ -369,12 +368,6 @@ class TestHarness:
             if "job_not_restarted" in kinds:
                 return
         pytest.fail("no seed produced a script fault on a running job")
-
-    def test_chaos_recovery_table_rows(self, smoke_result):
-        rows = chaos_recovery_table([smoke_result.summary])
-        assert len(rows) == 1
-        assert rows[0]["scenario"] == "smoke"
-        assert rows[0]["faults"] == 4
 
 
 class TestPretrainProcess:

@@ -92,6 +92,37 @@ class TestModelCommands:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [
+        ["evalsched", "--nodes", "0"],
+        ["evalsched", "--nodes", "-1"],
+        ["evalsched", "--model-scale", "0"],
+        ["evalsched", "--model-scale", "-1"],
+        ["evalsched", "--model-scale", "nan"],
+        ["evalsched", "--model-scale", "inf"],
+        ["serve", "--eval-batch", "0"],
+        ["loadtest", "--horizon-hours", "-1"],
+        ["loadtest", "--horizon-hours", "0"],
+    ], ids=" ".join)
+    def test_bad_number_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["checkpoint", "--gpus", "0"],
+        ["checkpoint", "--gpus", "-8"],
+        ["checkpoint", "--gpus", "12"],
+        ["loadtest", "--slots", "0"],
+        ["loadtest", "--slots", "1"],
+        ["loadtest", "--slots", "-3"],
+    ], ids=" ".join)
+    def test_override_rejected_by_the_config_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        output = capsys.readouterr().out
+        assert output.startswith(f"invalid override: {argv[1]} {argv[2]}: ")
+        assert output.count("\n") == 1
+
 
 class TestTrace:
     def test_trace_writes_chrome_json_and_summary(self, tmp_path,

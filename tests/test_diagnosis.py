@@ -342,49 +342,6 @@ class TestDiagnosisSystem:
         assert correct >= 3
 
 
-class TestReplay:
-    def test_replay_diagnoses_trace_failures(self, small_seren_trace):
-        from repro.core.diagnosis import replay_trace_failures
-
-        report = replay_trace_failures(small_seren_trace, max_jobs=25,
-                                       seed=21)
-        assert report.total == 25
-        assert report.accuracy > 0.9
-        assert report.category_accuracy >= report.accuracy
-        assert (report.auto_recovered + report.needs_human
-                == report.total)
-
-    def test_replay_assigns_reasons_when_missing(self, kalos_trace):
-        from repro.core.diagnosis import replay_trace_failures
-
-        report = replay_trace_failures(kalos_trace, max_jobs=10, seed=22)
-        assert report.total == 10
-        assert report.by_reason
-
-    def test_manual_rate_matches_script_share(self, small_seren_trace):
-        """Only script errors go to a human — the §6.1 '~90% less
-        manual intervention' accounting."""
-        from repro.core.diagnosis import replay_trace_failures
-
-        report = replay_trace_failures(small_seren_trace, max_jobs=40,
-                                       seed=23)
-        # Small eval jobs dominate the failure count, and those are
-        # script errors by nature; everything else is fully automated.
-        assert report.manual_intervention_rate < 1.0
-        assert report.auto_recovered > 0
-        assert report.mean_compression_ratio > 3.0
-
-    def test_replay_rejects_trace_without_failures(self):
-        from repro.core.diagnosis import replay_trace_failures
-        from repro.scheduler.job import FinalStatus, Job, JobType
-        from repro.workload.trace import Trace
-
-        trace = Trace("x", [Job("a", "x", JobType.EVALUATION, 0.0, 10.0,
-                                1, final_status=FinalStatus.COMPLETED)])
-        with pytest.raises(ValueError):
-            replay_trace_failures(trace)
-
-
 class TestMessyLogs:
     """Production logs are multiplexed, colorized, and truncated; the
     pipeline must still find the root cause."""

@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.distributions import (Choice, Constant, Empirical,
-                                     Exponential, LogNormal, Mixture,
-                                     Pareto, Uniform,
-                                     lognormal_from_median_mean)
+from repro.sim.distributions import (Choice, Constant, LogNormal, Mixture,
+                                     Uniform, lognormal_from_median_mean)
 
 
 def rng(seed=0):
@@ -50,27 +48,6 @@ class TestBasics:
         with pytest.raises(ValueError, match="non-negative"):
             Uniform(0.0, -0.0)
         assert Uniform(-0.0, 0.0).sample(rng()) == 0.0
-
-    def test_exponential_mean(self):
-        samples = Exponential(10.0).sample_many(rng(), 20000)
-        assert samples.mean() == pytest.approx(10.0, rel=0.05)
-
-    def test_exponential_rejects_nonpositive_mean(self):
-        with pytest.raises(ValueError):
-            Exponential(0.0)
-
-    def test_pareto_min_is_xm(self):
-        samples = Pareto(xm=3.0, alpha=2.0).sample_many(rng(), 1000)
-        assert samples.min() >= 3.0
-
-    def test_empirical_samples_from_pool(self):
-        pool = [1.0, 2.0, 3.0]
-        samples = Empirical(pool).sample_many(rng(), 200)
-        assert set(samples) <= set(pool)
-
-    def test_empirical_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Empirical([])
 
     def test_determinism_under_same_seed(self):
         dist = LogNormal(1.0, 0.5)

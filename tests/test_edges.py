@@ -19,22 +19,25 @@ class TestEngineEdges:
     def test_zero_delay_timeout(self):
         engine = Engine()
         fired = []
-        engine.timeout(0.0, "now").subscribe(
-            lambda ev: fired.append(engine.now))
+        engine.call_after(0.0, lambda: fired.append(engine.now))
         engine.run()
         assert fired == [0.0]
 
     def test_event_chain_through_many_hops(self):
+        """Callbacks that schedule the next one at ``now`` all run."""
         engine = Engine()
-        events = [engine.event() for _ in range(50)]
-        for upstream, downstream in zip(events, events[1:]):
-            upstream.subscribe(
-                lambda ev, d=downstream: d.succeed(ev.value + 1))
         got = []
-        events[-1].subscribe(lambda ev: got.append(ev.value))
-        events[0].succeed(0)
+
+        def hop(value):
+            if value == 49:
+                got.append((value, engine.now))
+            else:
+                engine.call_at(engine.now, lambda: hop(value + 1))
+
+        engine.call_at(2.0, lambda: hop(0))
         engine.run()
-        assert got == [49]
+        assert got == [(49, 2.0)]
+        assert engine.events_processed == 50
 
     def test_run_twice_is_safe(self):
         engine = Engine()

@@ -40,8 +40,6 @@ class TestDesignPromises:
             assert hasattr(tables, name)
 
     def test_design_lists_every_subpackage(self):
-        import repro
-
         src = REPO / "src" / "repro"
         subpackages = {path.name for path in src.iterdir()
                        if path.is_dir() and (path / "__init__.py").exists()}

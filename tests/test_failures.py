@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.failures.injector import FailureInjector, events_to_jobs
+from repro.failures.injector import FailureInjector
 from repro.failures.logs import (CASCADE_DISTRACTORS, REASON_SIGNATURES,
                                  LogGenerator, generate_job_log)
 from repro.failures.taxonomy import (TAXONOMY, FailureCategory,
@@ -108,12 +108,6 @@ class TestInjector:
         event = injector.sample_pretraining_failure("kalos")
         spec = taxonomy_by_reason()[event.reason]
         assert spec.demand_median >= 128
-
-    def test_events_to_jobs(self):
-        events = FailureInjector(seed=8).generate_events(scale=0.05)
-        jobs = events_to_jobs(events)
-        assert len(jobs) == len(events)
-        assert all(j.final_status is FinalStatus.FAILED for j in jobs)
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):

@@ -4,42 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.network import (FairShareLink, Flow, allreduce_time,
-                                   alltoall_time, max_min_fair_rates)
-
-
-class TestFairShareLink:
-    def test_single_flow_gets_full_bandwidth(self):
-        link = FairShareLink(100.0)
-        assert link.rate_for(1) == 100.0
-
-    def test_equal_split(self):
-        assert FairShareLink(100.0).rate_for(4) == 25.0
-
-    def test_per_flow_cap_binds(self):
-        assert FairShareLink(100.0).rate_for(2, per_flow_cap=10.0) == 10.0
-
-    def test_transfer_time(self):
-        assert FairShareLink(10.0).transfer_time(100.0, concurrent=2) == 20.0
-
-    def test_rejects_nonpositive_bandwidth(self):
-        with pytest.raises(ValueError):
-            FairShareLink(0.0)
-
-    def test_rejects_zero_concurrency(self):
-        with pytest.raises(ValueError):
-            FairShareLink(10.0).rate_for(0)
-
-    def test_zero_size_transfer_is_instant(self):
-        assert FairShareLink(10.0).transfer_time(0.0) == 0.0
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            FairShareLink(10.0).transfer_time(-1.0)
-
-    def test_cap_below_fair_share_is_honored(self):
-        # Fair share would be 50; the 5.0 cap must win.
-        assert FairShareLink(100.0).rate_for(2, per_flow_cap=5.0) == 5.0
+from repro.cluster.network import (Flow, allreduce_time, alltoall_time,
+                                   max_min_fair_rates)
 
 
 class TestMaxMinFairness:

@@ -9,7 +9,7 @@ from repro.training.moe import moe_step_model, moe_utilization_timeline
 from repro.training.parallelism import internevo_v1, internevo_v2
 from repro.training.pretrain import (PretrainJobConfig, PretrainSimulator,
                                      RecoveryMode, fig14_campaigns)
-from repro.training.profiler import SmProfiler, profile_strategies
+from repro.training.profiler import SmProfiler
 
 
 class TestProfiler:
@@ -21,10 +21,8 @@ class TestProfiler:
 
     def test_v2_mean_sm_higher_than_v1(self):
         """Fig. 10: V2 presents superior utilization, fewer idle periods."""
-        timelines = profile_strategies(
-            MODEL_123B, [internevo_v1(2048), internevo_v2(2048)], steps=2)
-        v1 = timelines["internevo-v1-3d"]
-        v2 = timelines["internevo-v2-hzero"]
+        v1 = SmProfiler(MODEL_123B, internevo_v1(2048)).profile(steps=2)
+        v2 = SmProfiler(MODEL_123B, internevo_v2(2048)).profile(steps=2)
         assert v2.mean_sm() > v1.mean_sm()
         assert v2.idle_fraction() < v1.idle_fraction()
 

@@ -8,8 +8,8 @@ from repro.cluster.machine import Node, NodeHealth, seren_node_spec
 from repro.core.diagnosis import DiagnosisSystem
 from repro.core.recovery import (AnomalyEvent, CheckpointCatalog,
                                  CollectiveTester, FabricCollectiveTester,
-                                 HangDetector, HotSparePool,
-                                 LossSpikeDetector, RecoveryController,
+                                 HotSparePool, LossSpikeDetector,
+                                 RecoveryController,
                                  StepTimeDeviationDetector, leaf_segment,
                                  localize_network_faults, pod_segment,
                                  two_round_nccl_test, World)
@@ -139,25 +139,9 @@ class TestDetectors:
         event = detector.observe(31, 50.0)
         assert event is not None
 
-    def test_hang_detected_after_timeout(self):
-        detector = HangDetector(timeout=100.0)
-        assert detector.heartbeat(0.0, step=10) is None
-        assert detector.heartbeat(50.0, step=10) is None
-        event = detector.heartbeat(150.0, step=10)
-        assert event is not None
-        assert event.kind == "hang"
-
-    def test_progress_resets_hang_timer(self):
-        detector = HangDetector(timeout=100.0)
-        detector.heartbeat(0.0, step=1)
-        detector.heartbeat(90.0, step=2)
-        assert detector.heartbeat(150.0, step=2) is None
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             LossSpikeDetector(window=1)
-        with pytest.raises(ValueError):
-            HangDetector(timeout=0)
 
     def test_warmup_shorter_than_window_never_flags(self):
         """With fewer than window // 2 samples the stats are untrusted."""

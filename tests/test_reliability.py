@@ -1,4 +1,4 @@
-"""Tests for MTBF/goodput analysis and optimal checkpoint intervals."""
+"""Tests for goodput analysis and optimal checkpoint intervals."""
 
 import math
 
@@ -6,37 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.failures.injector import FailureInjector
-from repro.failures.reliability import (GoodputModel, interval_sweep,
-                                        mtbf_from_events)
-from repro.failures.taxonomy import FailureCategory
-
-
-class TestMtbf:
-    def test_job_level_mtbf_is_mean_ttf(self):
-        events = FailureInjector(seed=1).generate_events()
-        mtbf = mtbf_from_events(events)
-        mean_ttf = sum(e.time_to_failure_min for e in events) / len(events)
-        assert mtbf == pytest.approx(mean_ttf)
-
-    def test_category_filter(self):
-        events = FailureInjector(seed=2).generate_events()
-        infra = mtbf_from_events(events,
-                                 category=FailureCategory.INFRASTRUCTURE)
-        script = mtbf_from_events(events,
-                                  category=FailureCategory.SCRIPT)
-        # Infrastructure failures hit long-running jobs (§5.2); script
-        # errors die at startup.
-        assert infra > script
-
-    def test_fleet_normalized(self):
-        events = FailureInjector(seed=3).generate_events()
-        mtbf = mtbf_from_events(events, fleet_gpu_time_min=1e9)
-        assert mtbf == pytest.approx(1e9 / len(events))
-
-    def test_empty_selection_rejected(self):
-        with pytest.raises(ValueError):
-            mtbf_from_events([])
+from repro.failures.reliability import GoodputModel, interval_sweep
 
 
 class TestGoodputModel:

@@ -87,224 +87,6 @@ class TestScheduling:
         assert engine.pending == 1
 
 
-class TestEvents:
-    def test_event_value_delivered(self):
-        engine = Engine()
-        event = engine.event()
-        got = []
-        event.subscribe(lambda ev: got.append(ev.value))
-        engine.call_at(1.0, lambda: event.succeed("payload"))
-        engine.run()
-        assert got == ["payload"]
-
-    def test_subscribe_after_trigger_still_fires(self):
-        engine = Engine()
-        event = engine.event()
-        event.succeed(42)
-        got = []
-        event.subscribe(lambda ev: got.append(ev.value))
-        engine.run()
-        assert got == [42]
-
-    def test_double_succeed_raises(self):
-        engine = Engine()
-        event = engine.event()
-        event.succeed()
-        with pytest.raises(SimulationError):
-            event.succeed()
-
-    def test_timeout_fires_after_delay(self):
-        engine = Engine()
-        got = []
-        engine.timeout(2.5, "done").subscribe(
-            lambda ev: got.append((engine.now, ev.value)))
-        engine.run()
-        assert got == [(2.5, "done")]
-
-    def test_all_of_collects_values_in_order(self):
-        engine = Engine()
-        events = [engine.timeout(3.0, "late"), engine.timeout(1.0, "soon")]
-        got = []
-        engine.all_of(events).subscribe(lambda ev: got.append(
-            (engine.now, ev.value)))
-        engine.run()
-        assert got == [(3.0, ["late", "soon"])]
-
-    def test_all_of_empty_fires_immediately(self):
-        engine = Engine()
-        got = []
-        engine.all_of([]).subscribe(lambda ev: got.append(ev.value))
-        engine.run()
-        assert got == [[]]
-
-    def test_any_of_fires_on_first(self):
-        engine = Engine()
-        events = [engine.timeout(3.0, "late"), engine.timeout(1.0, "soon")]
-        got = []
-        engine.any_of(events).subscribe(lambda ev: got.append(
-            (engine.now, ev.value)))
-        engine.run()
-        assert got == [(1.0, "soon")]
-
-    def test_any_of_empty_raises_instead_of_hanging(self):
-        """Regression: any_of([]) used to return an event that could
-        never fire, silently stalling any process waiting on it."""
-        engine = Engine()
-        with pytest.raises(SimulationError):
-            engine.any_of([])
-
-    def test_any_of_consumes_generators_safely(self):
-        engine = Engine()
-        got = []
-        engine.any_of(engine.timeout(t, t) for t in (2.0, 1.0)
-                      ).subscribe(lambda ev: got.append(ev.value))
-        engine.run()
-        assert got == [1.0]
-
-
-class TestProcess:
-    def test_process_sleeps_on_numeric_yield(self):
-        engine = Engine()
-        trace = []
-
-        def worker():
-            trace.append(engine.now)
-            yield 2.0
-            trace.append(engine.now)
-            yield 3.0
-            trace.append(engine.now)
-
-        engine.process(worker())
-        engine.run()
-        assert trace == [0.0, 2.0, 5.0]
-
-    def test_process_waits_on_event_and_receives_value(self):
-        engine = Engine()
-        event = engine.event()
-        got = []
-
-        def worker():
-            value = yield event
-            got.append(value)
-
-        engine.process(worker())
-        engine.call_at(4.0, lambda: event.succeed("hello"))
-        engine.run()
-        assert got == ["hello"]
-
-    def test_process_done_event_carries_return_value(self):
-        engine = Engine()
-
-        def worker():
-            yield 1.0
-            return "result"
-
-        process = engine.process(worker())
-        got = []
-        process.done.subscribe(lambda ev: got.append(ev.value))
-        engine.run()
-        assert got == ["result"]
-
-    def test_negative_delay_raises(self):
-        engine = Engine()
-
-        def worker():
-            yield -1.0
-
-        engine.process(worker())
-        with pytest.raises(SimulationError):
-            engine.run()
-
-    def test_bad_yield_type_raises(self):
-        engine = Engine()
-
-        def worker():
-            yield "nonsense"
-
-        engine.process(worker())
-        with pytest.raises(SimulationError):
-            engine.run()
-
-
-class TestResource:
-    def test_acquire_within_capacity_is_immediate(self):
-        engine = Engine()
-        resource = engine.resource(4)
-        got = []
-        resource.acquire(3).subscribe(lambda ev: got.append(engine.now))
-        engine.run()
-        assert got == [0.0]
-        assert resource.in_use == 3
-
-    def test_acquire_blocks_until_release(self):
-        engine = Engine()
-        resource = engine.resource(2)
-        got = []
-        resource.acquire(2)
-        resource.acquire(1).subscribe(lambda ev: got.append(engine.now))
-        engine.call_at(5.0, lambda: resource.release(2))
-        engine.run()
-        assert got == [5.0]
-
-    def test_fifo_head_of_line_blocking(self):
-        engine = Engine()
-        resource = engine.resource(3)
-        order = []
-        resource.acquire(3)
-        resource.acquire(2).subscribe(lambda ev: order.append("big"))
-        resource.acquire(1).subscribe(lambda ev: order.append("small"))
-        engine.call_at(1.0, lambda: resource.release(1))
-        engine.call_at(2.0, lambda: resource.release(1))
-        engine.call_at(3.0, lambda: resource.release(1))
-        engine.run()
-        # The small request fits at t=1 but waits behind the big one.
-        assert order == ["big", "small"]
-
-    def test_over_release_raises(self):
-        engine = Engine()
-        resource = engine.resource(2)
-        with pytest.raises(SimulationError):
-            resource.release(1)
-
-    def test_request_exceeding_capacity_raises(self):
-        engine = Engine()
-        resource = engine.resource(2)
-        with pytest.raises(SimulationError):
-            resource.acquire(3)
-
-    def test_queue_length_reflects_waiters(self):
-        engine = Engine()
-        resource = engine.resource(1)
-        resource.acquire(1)
-        resource.acquire(1)
-        resource.acquire(1)
-        engine.run()
-        assert resource.queue_length == 2
-
-    def test_deep_waiter_queue_drains_in_fifo_order(self):
-        """Regression for the O(n^2) drain: a deep waiter queue (the
-        chaos-storm shape) must grant strictly in arrival order and
-        leave the queue empty."""
-        engine = Engine()
-        resource = engine.resource(1)
-        order = []
-        resource.acquire(1)
-
-        def granted(index):
-            order.append(index)
-            engine.call_after(0.0, lambda: resource.release(1))
-
-        for index in range(500):
-            resource.acquire(1).subscribe(
-                lambda ev, i=index: granted(i))
-        assert resource.queue_length == 500
-        engine.call_at(1.0, lambda: resource.release(1))
-        engine.run()
-        assert order == list(range(500))
-        assert resource.queue_length == 0
-        assert resource.in_use == 0
-
-
 class TestListeners:
     def test_listener_runs_after_every_event(self):
         engine = Engine()
@@ -383,38 +165,6 @@ class TestEngineProperties:
             engine.cancel(items[index])
         engine.run()
         assert set(fired) == set(range(len(items))) - cancelled
-
-    @given(capacity=st.integers(1, 8),
-           requests=st.lists(
-               st.tuples(st.integers(1, 8),
-                         st.floats(min_value=0.1, max_value=10.0,
-                                   allow_nan=False)),
-               min_size=0, max_size=20))
-    @settings(max_examples=80, deadline=None)
-    def test_resource_never_over_grants(self, capacity, requests):
-        """in_use stays within capacity after every event, and every
-        grant is eventually returned."""
-        engine = Engine()
-        resource = engine.resource(capacity)
-        engine.add_listener(
-            lambda now: self._assert_within(resource, capacity))
-
-        def worker(amount, hold):
-            yield resource.acquire(amount)
-            yield hold
-            resource.release(amount)
-
-        for amount, hold in requests:
-            engine.process(worker(min(amount, capacity), hold))
-        engine.run()
-        assert resource.in_use == 0
-        assert resource.available == capacity
-
-    @staticmethod
-    def _assert_within(resource, capacity):
-        assert 0 <= resource.in_use <= capacity
-        assert resource.in_use + resource.available == capacity
-
 
 class TestLazyDeletionCompaction:
     """Cancelled-event pileup: the heap must stay proportional to the

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.cluster.storage import SharedStorage, StorageVolume
-from repro.sim.engine import Engine
+from repro.cluster.storage import SharedStorage
 
 
 def make_storage():
@@ -56,37 +55,3 @@ class TestSharedStorage:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             make_storage().per_trial_load_rate(0)
-
-
-class TestStorageVolume:
-    def test_single_read_completes_at_rate(self):
-        engine = Engine()
-        volume = StorageVolume(engine, nic_bandwidth=10.0)
-        done = []
-        volume.read(100.0).subscribe(lambda ev: done.append(engine.now))
-        engine.run()
-        assert done == [10.0]
-
-    def test_concurrent_reads_slow_down(self):
-        engine = Engine()
-        volume = StorageVolume(engine, nic_bandwidth=10.0)
-        times = []
-        volume.read(100.0).subscribe(lambda ev: times.append(engine.now))
-        volume.read(100.0).subscribe(lambda ev: times.append(engine.now))
-        engine.run()
-        # Second read observed 2-way contention when it started.
-        assert times[0] == pytest.approx(10.0)
-        assert times[1] == pytest.approx(20.0)
-
-    def test_read_process_generator(self):
-        engine = Engine()
-        volume = StorageVolume(engine, nic_bandwidth=10.0)
-        finished = []
-
-        def worker():
-            yield from volume.read_process(50.0)
-            finished.append(engine.now)
-
-        engine.process(worker())
-        engine.run()
-        assert finished == [5.0]

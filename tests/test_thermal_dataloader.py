@@ -7,8 +7,7 @@ import pytest
 from repro.failures.thermal import (PAPER_SCENARIOS, ThermalHazardModel,
                                     THERMALLY_SENSITIVE,
                                     scenario_failure_rates)
-from repro.training.dataloader import (DataloaderConfig, DataloaderModel,
-                                       paper_leak_example)
+from repro.training.dataloader import DataloaderConfig, DataloaderModel
 
 GIB = 1024 ** 3
 
@@ -74,13 +73,12 @@ class TestScenarios:
 class TestDataloaderLeak:
     def test_paper_example_dies_near_27_hours(self):
         """Appendix B: the error occurs ~27 hours into the run."""
-        result = paper_leak_example()
-        assert result["leaky_hours_until_killed"] == pytest.approx(
-            27.0, abs=3.0)
+        leaky = DataloaderModel(DataloaderConfig(num_workers=4))
+        assert leaky.hours_until_killed() == pytest.approx(27.0, abs=3.0)
 
     def test_fix_runs_forever(self):
-        result = paper_leak_example()
-        assert result["fixed_hours_until_killed"] == float("inf")
+        fixed = DataloaderModel(DataloaderConfig(num_workers=0))
+        assert fixed.hours_until_killed() == float("inf")
 
     def test_footprint_grows_with_workers(self):
         few = DataloaderModel(DataloaderConfig(num_workers=1))

@@ -1,6 +1,6 @@
 """Tests for the cluster factories."""
 
-from repro.cluster.cluster import make_acme, make_kalos, make_seren
+from repro.cluster.cluster import make_kalos, make_seren
 
 
 class TestClusterFactories:
@@ -17,8 +17,7 @@ class TestClusterFactories:
         assert kalos.scheduler_kind == "kubernetes"
 
     def test_acme_total_gpus(self):
-        acme = make_acme()
-        assert sum(c.total_gpus for c in acme.values()) == 4704
+        assert make_seren().total_gpus + make_kalos().total_gpus == 4704
 
     def test_summary_row(self):
         row = make_seren(4).summary()
