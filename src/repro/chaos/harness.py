@@ -26,6 +26,7 @@ seeded run is byte-for-byte reproducible: same event log, same summary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.chaos.fabric import MIN_FACTOR, FabricDomain
@@ -292,12 +293,15 @@ class ChaosHarness:
 
     def check_horizon(self, until: float) -> None:
         """Raise :class:`SimulationError` unless ``advance(until)`` may
-        run: the harness is started, not finished, and ``until`` is not
-        behind the clock."""
+        run: the harness is started, not finished, and ``until`` is
+        finite and not behind the clock (the streams chain arrivals
+        forever, so an infinite or NaN horizon never returns)."""
         if not self._started:
             raise SimulationError("advance() before start()")
         if self._finished:
             raise SimulationError("advance() after finish()")
+        if not math.isfinite(until):
+            raise SimulationError(f"cannot advance to {until}")
         if until < self.engine.now:
             raise SimulationError(
                 f"cannot advance backwards: {until} < {self.engine.now}")

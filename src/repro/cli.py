@@ -137,8 +137,14 @@ def _cmd_evalsched(args: argparse.Namespace) -> int:
     from repro.core.evalsched import CoordinatorConfig, TrialCoordinator
     from repro.evaluation import standard_catalog
 
-    outcome = TrialCoordinator(CoordinatorConfig(
-        n_nodes=args.nodes)).compare(standard_catalog(args.model_scale))
+    try:
+        outcome = TrialCoordinator(CoordinatorConfig(
+            n_nodes=args.nodes)).compare(standard_catalog(args.model_scale))
+    except (ValueError, OverflowError) as error:
+        # a scale that overflows a runtime, or the sum of them
+        print(f"invalid override: --model-scale {args.model_scale:g}: "
+              f"{error}")
+        return 2
     print(render_key_values({
         "datasets": 63,
         "nodes": args.nodes,
@@ -322,6 +328,10 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             return 2
         horizon_s = (args.horizon_hours * 3600.0
                      if args.horizon_hours is not None else None)
+        if horizon_s == math.inf:
+            print(f"invalid override: --horizon-hours "
+                  f"{args.horizon_hours:g}: overflows in seconds")
+            return 2
     if not multipliers or min(multipliers) <= 0:
         print("--multipliers expects positive values")
         return 2
@@ -610,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser(
         "export-figures", help="render every figure as SVG + CSV")
     export.add_argument("--outdir", default="figures")
-    export.add_argument("--jobs", type=int, default=6000)
+    export.add_argument("--jobs", type=_positive_int, default=6000,
+                        help="GPU jobs per trace (at least 1)")
     export.add_argument("--seed", type=int, default=0)
     export.set_defaults(func=_cmd_export_figures)
 

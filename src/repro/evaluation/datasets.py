@@ -18,6 +18,7 @@ Runtimes scale roughly linearly with model size; callers pass a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -33,8 +34,12 @@ class EvalDataset:
     splittable: bool = True
 
     def __post_init__(self) -> None:
-        if self.inference_seconds < 0 or self.metric_cpu_seconds < 0:
-            raise ValueError("runtimes must be non-negative")
+        for name in ("inference_seconds", "preprocess_seconds",
+                     "metric_cpu_seconds"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{self.name}: {name} must be finite "
+                                 f"and non-negative, got {value}")
 
     @property
     def gpu_seconds(self) -> float:

@@ -7,6 +7,7 @@ the workload type inferred from metadata (§3.2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -70,8 +71,13 @@ class Job:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError("duration must be non-negative")
+        if not math.isfinite(self.submit_time):
+            raise ValueError(
+                f"submit_time must be finite, got {self.submit_time}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(
+                f"duration must be finite and non-negative, got "
+                f"{self.duration}")
         if self.gpu_demand < 0:
             raise ValueError("gpu_demand must be non-negative")
 

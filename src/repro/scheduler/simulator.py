@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from repro.obs.span import Span
@@ -129,14 +130,23 @@ class SchedulerSimulator:
     # -- public API ---------------------------------------------------------
 
     def simulate(self, jobs: list[Job]) -> list[Job]:
-        """Run all jobs to completion; returns them with times filled in."""
+        """Run all jobs to completion; returns them with times filled in.
+
+        Every job is checked before any is scheduled.  The arrivals
+        enter the engine one at a time (``Engine.call_at_each``) in
+        submit order, equal times in list order, which is the order one
+        ``call_at`` per job in list order would give.
+        """
         for job in jobs:
             if job.gpu_demand > self.config.total_gpus:
                 raise ValueError(
                     f"job {job.job_id} demands {job.gpu_demand} GPUs but the "
                     f"cluster has {self.config.total_gpus}")
-            self.engine.call_at(job.submit_time,
-                                lambda j=job: self._on_submit(j))
+        # stable, and by time alone: equal times keep list order
+        ordered = sorted(jobs, key=attrgetter("submit_time"))
+        arrivals = iter(ordered)
+        self.engine.call_at_each([job.submit_time for job in ordered],
+                                 lambda: self._on_submit(next(arrivals)))
         self.engine.run()
         return jobs
 

@@ -169,8 +169,14 @@ def run_loadtest(scenario_name: str = "smoke",
     scenario = BUNDLED_SCENARIOS[scenario_name]
     if seed is not None:
         scenario = scenario.with_seed(seed)
-    horizon = float(min(horizon_s or scenario.duration,
-                        scenario.duration))
+    # only None means the scenario's duration: a zero horizon is an
+    # error, not a default
+    if horizon_s is None:
+        horizon_s = scenario.duration
+    elif not 0 < horizon_s < math.inf:
+        raise ValueError(
+            f"horizon_s must be finite and positive, got {horizon_s}")
+    horizon = float(min(horizon_s, scenario.duration))
     # the harness runs the scheduler at reserved_fraction 0.5; the
     # best-effort stream is sized against the shared half
     shared_gpus = scenario.scheduler_gpus // 2

@@ -3,7 +3,9 @@
 The engine is a classic event-heap simulator: callbacks are scheduled at
 absolute simulated times and executed in time order.  Ties are broken by a
 monotonically increasing sequence number so that runs are fully
-deterministic.
+deterministic.  A batch of known future calls (a trace's arrivals) goes in
+through :meth:`Engine.call_at_each`, which keeps only the next one in the
+heap but orders every call as if all had been pushed up front.
 
 The engine is intentionally single-threaded and has no wall-clock
 dependency, which keeps every experiment in the repository reproducible.
@@ -12,9 +14,12 @@ dependency, which keeps every experiment in the repository reproducible.
 from __future__ import annotations
 
 import heapq
+import math
 import zlib
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice, repeat
+from operator import le
+from typing import Callable, Sequence
 
 #: lazy-deletion compaction thresholds: the heap is rebuilt when at
 #: least this many cancelled items are buried in it *and* they make up
@@ -103,6 +108,8 @@ class Engine:
         self._next_seq = 0
         self._events_processed = 0
         self._cancelled = 0
+        #: calls of ``call_at_each`` batches not yet pushed to the heap
+        self._deferred = 0
         self._listeners: list[Callable[[float], None]] = []
 
     # -- scheduling -------------------------------------------------------
@@ -110,13 +117,67 @@ class Engine:
     def call_at(self, time: float, callback: Callable[[], None]
                 ) -> _ScheduledItem:
         """Schedule ``callback`` at absolute simulated ``time``."""
-        if time < self.now:
+        # not ``time < now``: NaN compares false both ways, and a NaN
+        # entry would pop ahead of every finite time
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < {self.now}")
+                f"cannot schedule at {time}: before now ({self.now}) "
+                f"or NaN")
         item = _ScheduledItem(callback)
         heapq.heappush(self._heap, (time, self._next_seq, item))
         self._next_seq += 1
         return item
+
+    def call_at_each(self, times: Sequence[float],
+                     callback: Callable[[], None]) -> None:
+        """Call ``callback`` once at each of ``times``.
+
+        ``times`` must be finite, non-decreasing and none before
+        ``now``; otherwise nothing is scheduled.  The calls run in
+        exactly the order that one ``call_at(time, callback)`` per time,
+        made now, would give: they take consecutive sequence numbers, so
+        each wins every same-time tie against anything scheduled after
+        it.  Only the next pending call sits in the heap.  The first
+        goes through ``call_at`` (so a wrapper of ``call_at`` wraps
+        ``callback`` once), the rest of the numbers are reserved, and
+        each time the entry fires it is pushed back at the next time
+        with the next number before ``callback`` runs.  ``pending``
+        counts the calls not yet pushed; ``snapshot`` sees only the
+        pushed one.
+        """
+        if not times:
+            return
+        if not (times[0] >= self.now and times[-1] < math.inf
+                and all(map(le, times, islice(times, 1, None)))):
+            raise SimulationError(
+                "call_at_each needs finite, non-decreasing times, none "
+                f"before now ({self.now})")
+        item = self.call_at(times[0], callback)
+        rest = len(times) - 1
+        if not rest:
+            return
+        first = self._next_seq
+        self._next_seq += rest
+        self._deferred += rest
+        # the heap entries themselves, built lazily in C
+        entries = zip(islice(times, 1, None), range(first, first + rest),
+                      repeat(item))
+        inner = item.callback
+        left = rest
+
+        def feed() -> None:
+            nonlocal left
+            heapq.heappush(self._heap, next(entries))
+            item.in_heap = True
+            self._deferred -= 1
+            left -= 1
+            if not left:
+                # the last push: drop the feed, and with it the
+                # item -> feed -> item cycle
+                item.callback = inner
+            inner()
+
+        item.callback = feed
 
     def call_after(self, delay: float, callback: Callable[[], None]
                    ) -> _ScheduledItem:
@@ -195,8 +256,14 @@ class Engine:
         """Run the loop; returns the final simulated time.
 
         ``until`` stops the clock at a deadline (events at later times stay
-        queued); ``max_events`` is a safety valve for runaway simulations.
+        queued); it must be finite and not before ``now``, or the clock
+        would end at infinity or move backwards.  ``max_events`` is a
+        safety valve for runaway simulations.
         """
+        if until is not None and not self.now <= until < math.inf:
+            raise SimulationError(
+                f"cannot run until {until}: before now ({self.now}) "
+                f"or not finite")
         processed = 0
         heap = self._heap
         heappop = heapq.heappop
@@ -274,7 +341,7 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        return len(self._heap) - self._cancelled
+        return len(self._heap) - self._cancelled + self._deferred
 
     @property
     def heap_size(self) -> int:

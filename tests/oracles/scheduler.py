@@ -16,6 +16,11 @@ isolates exactly these three methods.
 ``ordered_by_sort`` is the reference ``PriorityPolicy.ordered``: a
 stable sort of the whole queue by (priority class, arrival), where
 production reads the queue's incremental priority buckets.
+
+``eager_simulate`` is the reference ``SchedulerSimulator.simulate``: it
+pushes one ``call_at`` per job, in list order, before the first event
+runs, where production feeds the arrivals through
+``Engine.call_at_each`` with only the next one in the heap.
 """
 
 from __future__ import annotations
@@ -36,6 +41,19 @@ def ordered_by_sort(policy: PriorityPolicy, queue: JobQueue,
                                        pair[0]))
     jobs = [job for _, job in ordered]
     return jobs if limit is None else jobs[:limit]
+
+
+def eager_simulate(sim: SchedulerSimulator, jobs: list[Job]) -> list[Job]:
+    """Replay ``jobs`` on ``sim`` with every arrival pushed up front."""
+    for job in jobs:
+        if job.gpu_demand > sim.config.total_gpus:
+            raise ValueError(
+                f"job {job.job_id} demands {job.gpu_demand} GPUs but the "
+                f"cluster has {sim.config.total_gpus}")
+        sim.engine.call_at(job.submit_time,
+                           lambda j=job: sim._on_submit(j))
+    sim.engine.run()
+    return jobs
 
 
 class ReferenceSchedulerSimulator(SchedulerSimulator):

@@ -315,6 +315,18 @@ class TestLoadTest:
             run_loadtest(policy_kinds=("lifo",), multipliers=(1.0,),
                          horizon_s=600.0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -600.0, float("nan"),
+                                         float("inf")])
+    def test_bad_horizon_rejected(self, horizon):
+        """Only None means the scenario's duration: a zero horizon used
+        to run the scenario's full 6 h."""
+        with pytest.raises(ValueError, match=f"got {horizon}"):
+            run_loadtest(policy_kinds=(), horizon_s=horizon)
+
+    def test_no_horizon_means_the_scenario_duration(self):
+        report = run_loadtest(policy_kinds=(), horizon_s=None)
+        assert report.horizon_s == BUNDLED_SCENARIOS["smoke"].duration
+
     def test_capacity_analytic_scales_linearly(self):
         config = PoissonStreamConfig(name="c", gpu_choices=(2,),
                                      duration_median_s=3600.0,

@@ -102,6 +102,8 @@ class TestModelCommands:
         ["serve", "--eval-batch", "0"],
         ["loadtest", "--horizon-hours", "-1"],
         ["loadtest", "--horizon-hours", "0"],
+        ["export-figures", "--jobs", "0"],
+        ["export-figures", "--jobs", "-5"],
     ], ids=" ".join)
     def test_bad_number_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -121,6 +123,21 @@ class TestModelCommands:
         assert main(argv) == 2
         output = capsys.readouterr().out
         assert output.startswith(f"invalid override: {argv[1]} {argv[2]}: ")
+        assert output.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["evalsched", "--model-scale", "1e308"],
+        ["evalsched", "--model-scale", "1e305"],
+        ["loadtest", "--horizon-hours", "1e308"],
+    ], ids=" ".join)
+    def test_number_that_overflows_exits_2(self, argv, capsys):
+        """A model scale of 1e308 overflows a runtime and 1e305 their
+        sum (an infinite makespan, or a traceback); 1e308 hours
+        overflow in seconds."""
+        assert main(argv) == 2
+        output = capsys.readouterr().out
+        assert output.startswith(
+            f"invalid override: {argv[1]} {float(argv[2]):g}: ")
         assert output.count("\n") == 1
 
 

@@ -1,5 +1,7 @@
 """Tests for the evaluation substrate (§4.2)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.evaluation.datasets import (DATASET_CATALOG, dataset_by_name,
@@ -35,6 +37,17 @@ class TestCatalog:
     def test_scale_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             dataset_by_name("mmlu").scaled(0.0)
+
+    @pytest.mark.parametrize("field", [
+        "inference_seconds", "preprocess_seconds", "metric_cpu_seconds"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_runtimes_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=f"mmlu: {field}"):
+            replace(dataset_by_name("mmlu"), **{field: value})
+
+    def test_scale_that_overflows_a_runtime_is_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            standard_catalog(1e308)
 
     def test_split_partitions_work(self):
         dataset = dataset_by_name("mmlu")

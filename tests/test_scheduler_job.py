@@ -56,6 +56,15 @@ class TestDerivedMetrics:
         with pytest.raises(ValueError):
             make_job(duration=-1.0)
 
+    @pytest.mark.parametrize("field", ["submit_time", "duration"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_times_rejected(self, field, value):
+        """``duration < 0`` is false for NaN: a NaN-duration job used to
+        finish at NaN and leave the engine's clock at NaN."""
+        with pytest.raises(ValueError, match=field):
+            make_job(**{field: value})
+
     def test_negative_demand_rejected(self):
         with pytest.raises(ValueError):
             make_job(gpu_demand=-1)

@@ -9,6 +9,10 @@ reference in ``tests/oracles/scheduler.py`` (which tries every job in
 its window on every pass) side by side through random submits,
 advances, failures, sheds and cordons, comparing them and recounting
 the running totals after every engine event and every call.
+
+``simulate`` feeds a replay's arrivals to the engine one at a time;
+the reference ``eager_simulate`` pushes them all up front.  Job lists
+built for ties diff the two after every engine event.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from repro.scheduler.policy import (FifoPolicy, PriorityPolicy,
 from repro.scheduler.simulator import SchedulerConfig, SchedulerSimulator
 
 from .oracles.scheduler import (ReferenceSchedulerSimulator, allocated_gpus,
-                                borrowed_reserved, queued_demands)
+                                borrowed_reserved, eager_simulate,
+                                queued_demands)
 
 JOB_TYPES = (JobType.PRETRAIN, JobType.SFT, JobType.DEBUG,
              JobType.EVALUATION)
@@ -310,3 +315,42 @@ def test_digest_of_empty_one_and_many_job_queues():
         assert len(queued) == size
         assert twin.new.queue.demands_repr() == repr(queued)
         assert twin.new.state_digest() == twin.ref.state_digest()
+
+
+def replay(simulate, config: SchedulerConfig, specs: list[tuple]) -> tuple:
+    """Everything one replay of ``specs`` shows, event by event."""
+    sim = SchedulerSimulator(config)
+    jobs = [Job(job_id=f"j{index}", cluster="kalos", job_type=job_type,
+                submit_time=submit, duration=duration, gpu_demand=demand)
+            for index, (job_type, submit, duration, demand)
+            in enumerate(specs)]
+    events: list[tuple] = []
+    sim.engine.add_listener(lambda now: events.append(
+        (now, sim.state_digest(), len(sim.started), len(sim.finished))))
+    simulate(sim, jobs)
+    return (events, [(job.start_time, job.end_time) for job in jobs],
+            sim.occupancy, sim.preemptions, sim.engine.events_processed,
+            sim.engine._next_seq)
+
+
+# finishes land on arrivals, and many arrivals share a time
+tie_jobs = st.lists(st.tuples(
+    st.sampled_from(JOB_TYPES), st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+    st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+    st.sampled_from([0, 1, 2, 3, 10])), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(total=st.sampled_from([1, 4, 10]),
+       reserved=st.sampled_from([0.0, 0.5, 0.75, 0.98]),
+       depth=st.sampled_from([1, 2, 3, 256]),
+       spillover=st.booleans(), preempt=st.booleans(), jobs=tie_jobs)
+def test_fed_arrivals_match_eager_pushes(total, reserved, depth, spillover,
+                                         preempt, jobs):
+    config = SchedulerConfig(
+        total_gpus=total, reserved_fraction=reserved, backfill_depth=depth,
+        reserved_spillover=spillover, preempt_borrowers=preempt)
+    specs = [(job_type, submit, duration, min(demand, total))
+             for job_type, submit, duration, demand in jobs]
+    assert (replay(SchedulerSimulator.simulate, config, specs)
+            == replay(eager_simulate, config, specs))

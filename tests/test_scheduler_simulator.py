@@ -1,5 +1,8 @@
 """Tests for the discrete-event cluster scheduler."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.scheduler.job import Job, JobType
@@ -72,6 +75,38 @@ class TestBasicScheduling:
         sim = SchedulerSimulator(SchedulerConfig(total_gpus=8))
         with pytest.raises(ValueError):
             sim.simulate([job("huge", 9)])
+
+    def test_bad_job_is_found_before_any_arrival_is_scheduled(self):
+        sim = SchedulerSimulator(SchedulerConfig(total_gpus=8))
+        with pytest.raises(ValueError, match="huge"):
+            sim.simulate([job("a", 1), job("b", 2, submit=5.0),
+                           job("huge", 9)])
+        assert sim.engine.pending == 0
+        assert sim.engine.run() == 0.0
+        assert not sim.started
+
+    def test_equal_submit_times_arrive_in_list_order(self):
+        """Ties keep list order, never id order ("j10" < "j9")."""
+        sim = SchedulerSimulator(SchedulerConfig(total_gpus=1,
+                                                 reserved_fraction=0.0))
+        jobs = [job("j9", 1, submit=2.0), job("j10", 1, submit=2.0),
+                job("j11", 1, submit=1.0)]
+        sim.simulate(jobs)
+        assert [j.job_id for j in sim.started] == ["j11", "j9", "j10"]
+
+    def test_finished_replay_is_freed_without_the_cycle_collector(self):
+        """The arrival feed leaves no reference cycle behind, so a
+        finished simulator goes as soon as its last reference does."""
+        gc.disable()
+        try:
+            sim = SchedulerSimulator(SchedulerConfig(total_gpus=8))
+            sim.simulate([job(f"j{i}", 1 + i % 3, submit=float(i // 2))
+                          for i in range(6)] + [job("cpu", 0)])
+            freed = weakref.ref(sim)
+            del sim
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestReservation:

@@ -139,6 +139,25 @@ class TestSnapshotRestore:
         restored = ClusterService.restore(service._storage)
         assert restored.gauges() == service.gauges()
 
+    @pytest.mark.parametrize("until", [float("nan"), float("inf")])
+    def test_rejected_non_finite_advance_keeps_restore_working(self,
+                                                               until):
+        """A NaN horizon passed ``until < now``, and the engine's loop
+        never reached it while the streams chained arrivals."""
+        from repro.sim.engine import SimulationError
+        service = make_service("smoke")
+        service.advance(3600.0)
+        journal = [list(entry) for entry in service._journal]
+        # the check on its own first, so a regression fails, not hangs
+        with pytest.raises(SimulationError):
+            service.harness.check_horizon(until)
+        with pytest.raises(SimulationError):
+            service.advance(until)
+        assert service._journal == journal
+        service.checkpoint()
+        restored = ClusterService.restore(service._storage)
+        assert restored.gauges() == service.gauges()
+
     def test_restore_from_empty_storage_raises(self):
         with pytest.raises(ServiceStateError):
             ClusterService.restore(InMemoryStorage())

@@ -480,3 +480,164 @@ class TestEngineSnapshot:
         rebuilt.restore(snap)
         assert run_to_end(original, fired_a) == run_to_end(
             rebuilt, fired_b)
+
+
+def _drive(script, batched: bool) -> tuple:
+    """Run ``script`` with its batch through ``call_at_each`` or through
+    one ``call_at`` per time; returns everything the run shows."""
+    pre, batch, post, actions, horizons = script
+    engine = Engine()
+    fired: list[tuple[str, float]] = []
+    handles: list = []
+    per_event: list[tuple[float, int]] = []
+
+    def make(label):
+        def callback():
+            fired.append((label, engine.now))
+            index = len(fired) - 1
+            for kind, arg in (actions[index] if index < len(actions)
+                              else ()):
+                if kind == "schedule":
+                    schedule(engine.now + arg)
+                elif handles:
+                    engine.cancel(handles[arg % len(handles)])
+        return callback
+
+    def schedule(time):
+        handles.append(engine.call_at(time, make(f"e{len(handles)}")))
+
+    engine.add_listener(lambda now: per_event.append((now, engine.pending)))
+    for time in pre:
+        schedule(time)
+    on_batch = make("batch")
+    if batched:
+        engine.call_at_each(batch, on_batch)
+    else:
+        for time in batch:
+            engine.call_at(time, on_batch)
+    for time in post:
+        schedule(time)
+    runs = []
+    for until in (*horizons, None):
+        engine.run(until=until)
+        runs.append((engine.now, engine.events_processed, engine.pending,
+                     engine._next_seq))
+    return fired, per_event, runs
+
+
+_tie_times = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+_scripts = st.tuples(
+    st.lists(_tie_times, max_size=6),
+    st.lists(_tie_times, max_size=8).map(sorted),
+    st.lists(_tie_times, max_size=6),
+    # per fired event: schedule at now + delay, or cancel a handle
+    st.lists(st.lists(st.one_of(
+        st.tuples(st.just("schedule"), st.sampled_from([0.0, 1.0])),
+        st.tuples(st.just("cancel"), st.integers(0, 20))), max_size=3),
+        max_size=20),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0]),
+             max_size=4).map(sorted))
+
+
+class TestCallAtEach:
+    """``call_at_each`` against one ``call_at`` per time."""
+
+    @given(script=_scripts)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_one_call_at_per_time(self, script):
+        """Fired order, events, ``pending`` after every event and every
+        run, and the sequence numbers consumed are the same."""
+        assert _drive(script, batched=True) == _drive(script, batched=False)
+
+    def test_batch_wins_ties_against_later_calls_only(self):
+        """A re-push keeps its reserved number: a call scheduled after
+        the batch at the same time runs after every batch call, and
+        one scheduled before runs before them."""
+        engine = Engine()
+        order = []
+        engine.call_at(1.0, lambda: order.append("before"))
+        engine.call_at_each([1.0, 1.0, 1.0], lambda: order.append("batch"))
+        engine.call_at(1.0, lambda: order.append("after"))
+        assert engine.pending == 5
+        engine.run()
+        assert order == ["before", "batch", "batch", "batch", "after"]
+        assert engine._next_seq == 5
+
+    def test_only_the_next_call_is_in_the_heap(self):
+        engine = Engine()
+        engine.call_at_each([float(t) for t in range(100)], lambda: None)
+        assert (engine.heap_size, engine.pending) == (1, 100)
+        engine.run(until=49.5)
+        assert (engine.heap_size, engine.pending) == (1, 50)
+        assert engine.events_processed == 50
+
+    def test_a_wrapper_of_call_at_wraps_the_callback_once(self,
+                                                          monkeypatch):
+        wrapped, fired = [], []
+        call_at = Engine.call_at
+
+        def wrapping(engine, time, callback):
+            wrapped.append(time)
+            return call_at(engine, time,
+                           lambda: fired.append(("wrapped", callback())))
+
+        monkeypatch.setattr(Engine, "call_at", wrapping)
+        engine = Engine()
+        engine.call_at_each([1.0, 2.0, 2.0], lambda: engine.now)
+        engine.run()
+        assert wrapped == [1.0]
+        assert fired == [("wrapped", 1.0), ("wrapped", 2.0),
+                         ("wrapped", 2.0)]
+
+    def test_empty_batch_is_a_no_op(self):
+        engine = Engine()
+        engine.call_at_each([], lambda: None)
+        assert (engine.pending, engine._next_seq) == (0, 0)
+        assert engine.run() == 0.0
+        assert engine.events_processed == 0
+
+    @pytest.mark.parametrize("times", [
+        [2.0, 1.0], [1.0, float("nan")], [float("nan"), 1.0],
+        [float("nan")], [1.0, float("inf")], [float("-inf"), 1.0],
+        [4.0, 6.0]])
+    def test_bad_times_raise_and_schedule_nothing(self, times):
+        engine = Engine()
+        engine.run(until=5.0)
+        with pytest.raises(SimulationError):
+            engine.call_at_each(times, lambda: None)
+        assert (engine.pending, engine.heap_size, engine._next_seq) == (
+            0, 0, 0)
+
+
+class TestBadTimes:
+    """A time that breaks the heap's order is rejected where it enters."""
+
+    def test_nan_is_not_scheduled(self):
+        """NaN compares false both ways, so ``time < now`` let it in
+        and it popped ahead of every finite time."""
+        engine = Engine()
+        order = []
+        with pytest.raises(SimulationError):
+            engine.call_at(float("nan"), lambda: order.append("nan"))
+        engine.call_at(5.0, lambda: order.append(5.0))
+        engine.call_at(1.0, lambda: order.append(1.0))
+        engine.run()
+        assert order == [1.0, 5.0]
+
+    @pytest.mark.parametrize("until", [float("nan"), float("inf"), 3.0])
+    def test_run_to_non_finite_or_past_horizon_raises(self, until):
+        """A past horizon set the clock backwards, a NaN one never
+        stopped the loop, and an infinite one left the clock at
+        infinity once the heap drained."""
+        engine = Engine()
+        engine.call_at(10.0, lambda: None)
+        engine.run(until=5.0)
+        with pytest.raises(SimulationError):
+            engine.run(until=until)
+        assert engine.now == 5.0
+        assert engine.pending == 1
+
+    def test_run_to_the_current_time_is_allowed(self):
+        engine = Engine()
+        engine.run(until=5.0)
+        assert engine.run(until=5.0) == 5.0
