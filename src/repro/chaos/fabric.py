@@ -39,9 +39,8 @@ class FabricDomain:
         self.node_index = {name: index for index, name in enumerate(names)}
         self.leaf_of = {name: index // scenario.nodes_per_leaf
                         for index, name in enumerate(names)}
-        #: leaf -> pod map, armed only when the fabric actually spans
-        #: pods; single-pod fabrics pass None so localization keeps the
-        #: exact legacy probe order (byte-identical goldens)
+        #: leaf -> pod map; None when the fabric has one pod, so no
+        #: core tier (no pod uplink on any path, probe or placement)
         self.pod_of_leaf = (
             {leaf: leaf // scenario.leaves_per_pod
              for leaf in range(self.config.leaf_count)}

@@ -120,20 +120,25 @@ class StragglerRecord:
 
 @dataclass
 class InvariantChecker:
-    """Validates the chaos harness's cross-layer state."""
+    """Validates the chaos harness's cross-layer state.
+
+    The run state the checks accumulate starts empty; it is no
+    constructor argument.
+    """
 
     scheduler: SchedulerSimulator
     nodes: dict[str, Node]
     #: live placements: node name -> job id (gang placements)
     placements: dict[str, str]
     pretrain: PretrainProcess | None = None
-    checks_run: int = 0
-    restart_records: list[RestartRecord] = field(default_factory=list)
+    checks_run: int = field(default=0, init=False)
+    restart_records: list[RestartRecord] = field(default_factory=list,
+                                                 init=False)
     #: how many ``restart_records`` have passed invariant 4
     _rollbacks_checked: int = field(default=0, init=False, repr=False)
     #: (fault index, plan) for injected infrastructure failures
     infra_plans: list[tuple[int, RecoveryPlan | None]] = field(
-        default_factory=list)
+        default_factory=list, init=False)
     # -- storage-fault context and state --
     #: [start, end) outage windows on the checkpoint backend
     outage_windows: list[tuple[float, float]] = field(default_factory=list)
@@ -142,13 +147,13 @@ class InvariantChecker:
     #: slack after the last outage before an unresolved deferral is a wedge
     wedge_slack: float = 0.0
     #: steps durably persisted (write reported ok)
-    good_steps: set[int] = field(default_factory=set)
+    good_steps: set[int] = field(default_factory=set, init=False)
     #: steps known bad: corrupted on write or quarantined at restore
-    bad_steps: set[int] = field(default_factory=set)
+    bad_steps: set[int] = field(default_factory=set, init=False)
     #: restores currently parked waiting for the backend to return
-    deferred_unresolved: int = 0
+    deferred_unresolved: int = field(default=0, init=False)
     #: sum of (planned - actual) over fallback restores, per invariant 8
-    fallback_lost: int = 0
+    fallback_lost: int = field(default=0, init=False)
     # -- network-fault context and state --
     #: the fabric health overlay the scenario armed (None = no faults)
     network_health: LinkHealth | None = None
@@ -159,7 +164,7 @@ class InvariantChecker:
     # -- failure-domain state (stragglers / spares / convictions) --
     #: fault index -> straggler lifecycle record, per invariant 12
     straggler_records: dict[int, StragglerRecord] = field(
-        default_factory=dict)
+        default_factory=dict, init=False)
     #: max seconds a loud straggler may run undetected (0 = unchecked)
     straggler_detect_bound: float = 0.0
     #: residual step stretch legitimately left once fabric heals

@@ -79,16 +79,35 @@ def _cmd_generate_trace(args: argparse.Namespace) -> int:
 
 
 def _load_trace(path: str):
+    """The trace at ``path`` (JSONL by suffix, else CSV).
+
+    None, after printing ``invalid trace <path>: <reason>``, when the
+    file cannot be read or holds no GPU job.
+    """
     from repro.workload.trace import Trace
 
     file_path = Path(path)
-    if file_path.suffix == ".jsonl":
-        return Trace.from_jsonl(file_path)
-    return Trace.from_csv(file_path)
+    load = Trace.from_jsonl if file_path.suffix == ".jsonl" else Trace.from_csv
+    try:
+        trace = load(file_path)
+    except OSError as error:
+        reason = error.strerror or str(error)
+    except KeyError as error:
+        reason = f"missing field {error}"
+    except (TypeError, ValueError) as error:
+        reason = str(error)
+    else:
+        if trace.gpu_jobs():
+            return trace
+        reason = "no GPU jobs"
+    print(f"invalid trace {path}: {reason}")
+    return None
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
+    if trace is None:
+        return 2
     count = trace.count_share_by_type()
     time_share = trace.gpu_time_share_by_type()
     rows = [{"type": job_type.value,
@@ -442,6 +461,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.workload.validate import calibration_report
 
     trace = _load_trace(args.trace)
+    if trace is None:
+        return 2
     report, passed = calibration_report(trace)
     print(report)
     return 0 if passed else 1

@@ -35,10 +35,6 @@ class Cluster:
         return sum(node.gpu_count for node in self.nodes)
 
     @property
-    def total_cpus(self) -> int:
-        return sum(node.spec.cpus for node in self.nodes)
-
-    @property
     def free_gpus(self) -> int:
         return sum(node.free_gpu_count for node in self.nodes
                    if node.schedulable)

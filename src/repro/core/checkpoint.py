@@ -169,10 +169,6 @@ def _checkpoint_key(step: int) -> str:
     return f"ckpt-{step:012d}"
 
 
-def _key_step(key: str) -> int:
-    return int(key.split("-")[1])
-
-
 # -- the resilient persist pipeline ----------------------------------------
 
 

@@ -102,7 +102,3 @@ class TemplateMiner:
         """
         threshold = max(min_support, int(min_fraction * self.lines_seen))
         return self.templates(min_support=threshold)
-
-    @property
-    def unique_templates(self) -> int:
-        return len(self._templates)

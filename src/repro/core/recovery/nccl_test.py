@@ -18,13 +18,15 @@ to *link localization* — the paper's NVLink-vs-node distinction.  When a
 world fails only across a shared leaf/spine path, the path segment is
 convicted, not its endpoint nodes: pairing stays inside one leaf first
 (so NIC/node faults surface without touching the fabric), then a cycle
-of cross-leaf probes over cleared representatives sweeps the uplinks.
+of cross-leaf probes over cleared representatives sweeps the leaf
+uplinks of each pod, and the same cycle over the pods sweeps their
+core-tier uplinks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -149,16 +151,16 @@ class FabricCollectiveTester:
 
     A collective fails when any participant is in the injected faulty
     set, any participant's NIC runs below ``min_factor`` of nominal, or
-    — for worlds spanning leaves — any crossed leaf uplink does.  This
-    is the observable the localization algorithm works against: it sees
-    only pass/fail per world, never the factors directly.
+    a leaf uplink (for worlds spanning leaves) or a pod's core-tier
+    uplink (for worlds spanning pods) it crosses does.  This is the
+    observable the localization algorithm works against: it sees only
+    pass/fail per world, never the factors directly.
 
     ``node_factors`` maps node name -> NIC health factor and
     ``segment_factors`` maps segment id -> uplink health factor
-    (``leaf:{l}`` and, when ``pod_of_leaf`` is given, ``pod:{p}``);
-    both default missing entries to 1.0 (healthy).  With a
-    ``pod_of_leaf`` mapping, worlds that span pods additionally
-    exercise the crossed pods' core-tier uplinks.
+    (``leaf:{l}`` and ``pod:{p}``); both default missing entries to 1.0
+    (healthy).  ``pod_of_leaf`` maps leaf -> pod; without it every leaf
+    sits in one pod, so no world crosses the core tier.
     """
 
     def __init__(self, leaf_of: Mapping[str, int],
@@ -172,13 +174,9 @@ class FabricCollectiveTester:
         self.segment_factors = dict(segment_factors or {})
         self.faulty_nodes = frozenset(faulty_nodes)
         self.min_factor = min_factor
-        self.pod_of_leaf = dict(pod_of_leaf) if pod_of_leaf else None
+        self.pod_of_leaf = (dict(pod_of_leaf) if pod_of_leaf
+                            else dict.fromkeys(self.leaf_of.values(), 0))
         self.tests_run = 0
-
-    def _node_ok(self, node: str) -> bool:
-        if node in self.faulty_nodes:
-            return False
-        return self.node_factors.get(node, 1.0) >= self.min_factor
 
     def run_allgather(self, world: World) -> bool:
         """True if the collective succeeds."""
@@ -199,15 +197,12 @@ class FabricCollectiveTester:
                 factor = self.segment_factors.get(leaf_segment(leaf), 1.0)
                 if factor < self.min_factor:
                     return False
-            if self.pod_of_leaf is not None:
-                pods = {self.pod_of_leaf[leaf]
-                        for leaf in sorted(leaves)}
-                if len(pods) > 1:
-                    for pod in sorted(pods):
-                        factor = self.segment_factors.get(
-                            pod_segment(pod), 1.0)
-                        if factor < self.min_factor:
-                            return False
+            pods = {self.pod_of_leaf[leaf] for leaf in sorted(leaves)}
+            if len(pods) > 1:
+                for pod in sorted(pods):
+                    factor = self.segment_factors.get(pod_segment(pod), 1.0)
+                    if factor < self.min_factor:
+                        return False
         return True
 
 
@@ -229,6 +224,49 @@ class LinkLocalizationResult:
     tests_run: int = 0
 
 
+def _cycle_sweep(members: Sequence[int], reps: Mapping[int, str],
+                 segment: Callable[[int], str],
+                 tester: FabricCollectiveTester,
+                 result: LinkLocalizationResult) -> dict[int, int]:
+    """Test the uplinks of ``members`` (leaves or pods) pairwise around
+    a cycle of their representative nodes ``reps``.
+
+    Two members share one world; three or more form a cycle, so every
+    uplink gets two independent witnesses.  Two failing worlds convict
+    a member's ``segment``.  A failing world with neither endpoint at
+    two failures leaves both segments ambiguous (one witness cannot
+    tell which uplink is sick), and so does every world failing
+    (trouble above the tier, or too many sick uplinks to separate):
+    convicting there could cordon a healthy segment.
+
+    Returns each member's count of failing worlds, or nothing when the
+    sweep reached no verdict (fewer than two members, or every world
+    failed).
+    """
+    count = len(members)
+    if count < 2:
+        return {}
+    worlds = [(members[index], members[(index + 1) % count])
+              for index in range(count if count > 2 else 1)]
+    failed = [(left, right) for left, right in worlds
+              if not tester.run_allgather(World((reps[left], reps[right])))]
+    if len(failed) == len(worlds):
+        result.ambiguous_segments.update(map(segment, members))
+        return {}
+    failures = dict.fromkeys(members, 0)
+    for left, right in failed:
+        failures[left] += 1
+        failures[right] += 1
+    for member in members:
+        if failures[member] == 2:
+            result.faulty_segments.add(segment(member))
+    for left, right in failed:
+        if failures[left] < 2 and failures[right] < 2:
+            result.ambiguous_segments.add(segment(left))
+            result.ambiguous_segments.add(segment(right))
+    return failures
+
+
 def localize_network_faults(nodes: Sequence[str],
                             tester: FabricCollectiveTester,
                             leaf_of: Mapping[str, int],
@@ -243,33 +281,30 @@ def localize_network_faults(nodes: Sequence[str],
     2. **Node conviction** — each suspect re-paired with a cleared node
        from its *own* leaf; fail convicts, pass clears.  Suspects in a
        leaf with no cleared partner are deferred to round 4.
-    3. **Uplink cycle sweep** — one cleared representative per leaf,
-       tested pairwise around a cycle so every uplink gets two
-       independent witnesses.  A leaf incident to two failing worlds is
-       convicted; a failure explained by an already-convicted endpoint
-       clears its partner; anything else is ambiguous (never convicted
-       — invariant: a healthy segment must not be cordoned).  A lone
-       rep (its leaf has no partner, so round 1 never exercised its
-       NIC) cannot pin its uplink: NIC and uplink are indistinguishable
-       by collectives, so the *node* is convicted conservatively and
-       the segment only flagged as ambiguous.
-    4. **Deferred resolution** — deferred suspects probe cross-leaf
-       through an exonerated uplink; a failure conservatively convicts
-       the node (matching the base algorithm's bias) unless its own
-       uplink is known-bad, in which case it stays unresolved.
+    3. **Uplink cycle sweeps** — one cleared representative per leaf,
+       tested pairwise around a cycle (:func:`_cycle_sweep`) confined
+       to its pod, so a sick core-tier uplink cannot frame a leaf
+       segment.  A leaf incident to two failing worlds is convicted; a
+       failure explained by a convicted endpoint clears its partner;
+       anything else is ambiguous (never convicted — invariant: a
+       healthy segment must not be cordoned).  A leaf with no failing
+       world is exonerated.  A lone rep (its leaf has no partner, so
+       round 1 never exercised its NIC) cannot pin its uplink: NIC and
+       uplink are indistinguishable by collectives, so the *node* is
+       convicted conservatively and the segment only flagged as
+       ambiguous.  The same sweep then runs over the pods, through one
+       fully-vetted representative per pod — NIC exercised in round 1
+       *and* leaf uplink exonerated — and convicts or flags ``pod:{p}``
+       segments the same way.
+    4. **Deferred resolution** — deferred suspects probe through an
+       uplink that is neither convicted nor ambiguous, preferring their
+       own pod and never crossing an implicated pod uplink; a failure
+       conservatively convicts the node (matching the base algorithm's
+       bias) unless its own uplink is known-bad, in which case it stays
+       unresolved.
 
-    With a ``pod_of_leaf`` mapping, the leaf cycle of round 3 is
-    confined to one pod (so a sick core-tier uplink cannot frame a leaf
-    segment), and an extra **pod cycle sweep** runs between rounds 3
-    and 4: one fully-vetted representative per pod — NIC exercised in
-    round 1 *and* leaf uplink positively exonerated by a passing cycle
-    world — tested pairwise around a cycle over the pods.  Two
-    independent witnesses convict ``pod:{p}``; anything weaker is only
-    ambiguous, preserving the never-convict-a-healthy-segment
-    invariant at the core tier.  Round 4 then prefers same-pod probes
-    and refuses cross-pod probes through implicated pod uplinks.
-    Without ``pod_of_leaf`` the procedure is exactly the four-round
-    scheme above (byte-identical world order).
+    Without ``pod_of_leaf`` every leaf sits in one pod, so no pod sweep
+    runs.
     """
     if len(set(nodes)) != len(nodes):
         raise ValueError("duplicate node names")
@@ -282,6 +317,8 @@ def localize_network_faults(nodes: Sequence[str],
     for node in nodes:
         by_leaf.setdefault(leaf_of[node], []).append(node)
     leaves = sorted(by_leaf)
+    if pod_of_leaf is None:
+        pod_of_leaf = dict.fromkeys(leaves, 0)
 
     # Round 1: intra-leaf pairwise sweep (no fabric traffic crossed).
     suspects_by_leaf: dict[int, list[str]] = {}
@@ -313,112 +350,36 @@ def localize_network_faults(nodes: Sequence[str],
         result.cleared.update(cleared_by_leaf[leaf])
     result.cleared -= result.faulty_nodes
 
-    # Round 3: cycle sweep over the leaf uplinks, confined to one pod
-    # so a sick core-tier uplink cannot frame a leaf segment.  Without
-    # pod information every leaf lands in one group — the legacy cycle.
+    # Round 3: a cycle sweep over the leaf uplinks of each pod, then
+    # one over the pods' core-tier uplinks.
     rep_leaves = [leaf for leaf in leaves if cleared_by_leaf[leaf]]
     reps = {leaf: cleared_by_leaf[leaf][0] for leaf in rep_leaves}
     pod_groups: dict[int, list[int]] = {}
     for leaf in rep_leaves:
-        pod = pod_of_leaf[leaf] if pod_of_leaf is not None else 0
-        pod_groups.setdefault(pod, []).append(leaf)
-    #: leaves whose uplink passed a cycle world with zero incidents —
-    #: the only leaves trusted to represent their pod at the core tier
-    exonerated_leaves: set[int] = set()
+        pod_groups.setdefault(pod_of_leaf[leaf], []).append(leaf)
+    pod_reps: dict[int, str] = {}
     for pod in sorted(pod_groups):
         group = pod_groups[pod]
-        if len(group) == 2:
-            first, second = group
-            if tester.run_allgather(World((reps[first], reps[second]))):
-                exonerated_leaves.update(group)
-            else:
-                # One witness cannot tell which uplink is sick.
-                result.ambiguous_segments.add(leaf_segment(first))
-                result.ambiguous_segments.add(leaf_segment(second))
-        elif len(group) >= 3:
-            count = len(group)
-            fails: list[tuple[int, int]] = []
-            incident: dict[int, int] = {leaf: 0 for leaf in group}
-            for index in range(count):
-                left = group[index]
-                right = group[(index + 1) % count]
-                if not tester.run_allgather(
-                        World((reps[left], reps[right]))):
-                    fails.append((left, right))
-                    incident[left] += 1
-                    incident[right] += 1
-            if len(fails) == count:
-                # Every world failed: spine trouble or too many sick
-                # uplinks to separate.  Convicting here could hit a
-                # healthy segment, so everything stays ambiguous.
-                for leaf in group:
-                    result.ambiguous_segments.add(leaf_segment(leaf))
-            else:
-                for leaf in group:
-                    if incident[leaf] == 0:
-                        exonerated_leaves.add(leaf)
-                    if incident[leaf] == 2:
-                        if len(by_leaf[leaf]) == 1:
-                            # Round 1 never exercised this lone rep's
-                            # NIC (a single-node world moves no fabric
-                            # bytes), so its NIC and its uplink are
-                            # observationally identical.  Convict the
-                            # node — the safe, conservative call — and
-                            # flag the segment rather than risk
-                            # cordoning a healthy uplink.
-                            result.faulty_nodes.add(reps[leaf])
-                            result.cleared.discard(reps[leaf])
-                            result.ambiguous_segments.add(
-                                leaf_segment(leaf))
-                        else:
-                            result.faulty_segments.add(leaf_segment(leaf))
-                for left, right in fails:
-                    if incident[left] < 2 and incident[right] < 2:
-                        # Neither endpoint was convicted: one witness.
-                        result.ambiguous_segments.add(leaf_segment(left))
-                        result.ambiguous_segments.add(leaf_segment(right))
-
-    # Pod cycle sweep: probe the core tier through fully-vetted reps.
-    if pod_of_leaf is not None and len(pod_groups) > 1:
-        pod_reps: dict[int, str] = {}
-        for pod in sorted(pod_groups):
-            for leaf in pod_groups[pod]:
-                # A trustworthy pod witness needs both a NIC exercised
-                # by a real multi-node world and a positively
-                # exonerated leaf uplink; otherwise a pod-cycle failure
-                # could be the rep's own path, framing the pod segment.
-                if len(by_leaf[leaf]) >= 2 and leaf in exonerated_leaves:
-                    pod_reps[pod] = reps[leaf]
-                    break
-        pods = sorted(pod_reps)
-        if len(pods) == 2:
-            world = World((pod_reps[pods[0]], pod_reps[pods[1]]))
-            if not tester.run_allgather(world):
-                result.ambiguous_segments.add(pod_segment(pods[0]))
-                result.ambiguous_segments.add(pod_segment(pods[1]))
-        elif len(pods) >= 3:
-            pod_count = len(pods)
-            pod_fails: list[tuple[int, int]] = []
-            pod_incident: dict[int, int] = {pod: 0 for pod in pods}
-            for index in range(pod_count):
-                left = pods[index]
-                right = pods[(index + 1) % pod_count]
-                world = World((pod_reps[left], pod_reps[right]))
-                if not tester.run_allgather(world):
-                    pod_fails.append((left, right))
-                    pod_incident[left] += 1
-                    pod_incident[right] += 1
-            if len(pod_fails) == pod_count:
-                for pod in pods:
-                    result.ambiguous_segments.add(pod_segment(pod))
-            else:
-                for pod in pods:
-                    if pod_incident[pod] == 2:
-                        result.faulty_segments.add(pod_segment(pod))
-                for left, right in pod_fails:
-                    if pod_incident[left] < 2 and pod_incident[right] < 2:
-                        result.ambiguous_segments.add(pod_segment(left))
-                        result.ambiguous_segments.add(pod_segment(right))
+        failures = _cycle_sweep(group, reps, leaf_segment, tester, result)
+        for leaf in group:
+            if failures.get(leaf) == 2 and len(by_leaf[leaf]) == 1:
+                # Round 1 never exercised this lone rep's NIC (a
+                # single-node world moves no fabric bytes), so its NIC
+                # and its uplink are observationally identical.  Convict
+                # the node — the safe, conservative call — and flag the
+                # segment rather than risk cordoning a healthy uplink.
+                result.faulty_segments.discard(leaf_segment(leaf))
+                result.ambiguous_segments.add(leaf_segment(leaf))
+                result.faulty_nodes.add(reps[leaf])
+                result.cleared.discard(reps[leaf])
+            # A trustworthy pod witness needs both a NIC exercised by a
+            # real multi-node world and a positively exonerated leaf
+            # uplink; otherwise a pod-cycle failure could be the rep's
+            # own path, framing the pod segment.
+            if (pod not in pod_reps and failures.get(leaf) == 0
+                    and len(by_leaf[leaf]) >= 2):
+                pod_reps[pod] = reps[leaf]
+    _cycle_sweep(sorted(pod_reps), pod_reps, pod_segment, tester, result)
 
     # Round 4: resolve suspects whose leaf had no intra-leaf probe.
     bad_segments = result.faulty_segments | result.ambiguous_segments
@@ -431,30 +392,19 @@ def localize_network_faults(nodes: Sequence[str],
         deferred = []
     for suspect in deferred:
         own_leaf = leaf_of[suspect]
-        if leaf_segment(own_leaf) in bad_segments or not probe_leaves:
+        own_pod = pod_of_leaf[own_leaf]
+        candidates = [leaf for leaf in probe_leaves
+                      if pod_of_leaf[leaf] == own_pod]
+        if not candidates and pod_segment(own_pod) not in bad_segments:
+            candidates = [
+                leaf for leaf in probe_leaves
+                if pod_segment(pod_of_leaf[leaf]) not in bad_segments]
+        if leaf_segment(own_leaf) in bad_segments or not candidates:
             # A cross-leaf probe would test the sick uplink, not the
             # node — or there is no trustworthy path at all.
             result.unresolved.add(suspect)
             continue
-        candidates = probe_leaves
-        if pod_of_leaf is not None:
-            own_pod = pod_of_leaf[own_leaf]
-            same_pod = [leaf for leaf in probe_leaves
-                        if pod_of_leaf[leaf] == own_pod]
-            if same_pod:
-                candidates = same_pod
-            elif pod_segment(own_pod) in bad_segments:
-                result.unresolved.add(suspect)
-                continue
-            else:
-                candidates = [
-                    leaf for leaf in probe_leaves
-                    if pod_segment(pod_of_leaf[leaf]) not in bad_segments]
-                if not candidates:
-                    result.unresolved.add(suspect)
-                    continue
-        probe = reps[candidates[0]]
-        if tester.run_allgather(World((suspect, probe))):
+        if tester.run_allgather(World((suspect, reps[candidates[0]]))):
             result.cleared.add(suspect)
         else:
             result.faulty_nodes.add(suspect)

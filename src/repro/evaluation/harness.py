@@ -55,10 +55,6 @@ class StageSegment:
     def end(self) -> float:
         return self.start + self.duration
 
-    @property
-    def gpu_busy(self) -> bool:
-        return self.stage is EvalStage.INFERENCE
-
 
 @dataclass
 class TrialProfile:
@@ -172,11 +168,6 @@ class EvalTrial:
             profile.segments.append(StageSegment(stage, cursor, duration))
             cursor += duration
         return profile
-
-    def gpu_occupancy_seconds(self, decoupled_metric: bool = False
-                              ) -> float:
-        """How long the trial holds its GPU."""
-        return self.profile(decoupled_metric).total
 
 
 def humaneval_profile(model_scale: float = 1.0) -> TrialProfile:

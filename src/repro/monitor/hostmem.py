@@ -46,14 +46,6 @@ class HostMemoryBreakdown:
     def used_fraction(self) -> float:
         return self.total_used / self.capacity
 
-    def shares_of_used(self) -> dict[str, float]:
-        """Each component's share of used memory."""
-        used = self.total_used
-        if used == 0:
-            return {}
-        return {name: amount / used
-                for name, amount in self.components.items()}
-
     def checkpoint_buffers_that_fit(self, checkpoint_bytes: int) -> int:
         """How many in-memory checkpoint copies the idle memory holds."""
         if checkpoint_bytes <= 0:

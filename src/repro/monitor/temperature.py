@@ -39,11 +39,6 @@ class TemperatureModel:
                 + self.core_celsius_per_watt * watts)
         return float(base + rng.normal(0.0, self.noise_sigma))
 
-    def memory_temperature(self, watts: float,
-                           rng: np.random.Generator) -> float:
-        """HBM temperature (runs hotter than the die)."""
-        return self.core_temperature(watts, rng) + self.memory_delta
-
     def sample_fleet(self, power_draws: np.ndarray, seed: int = 0,
                      tracer: TracerLike | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,11 @@ two-pool scheduler — a reserved pretraining quota plus a best-effort shared
 pool — and records start/end times, from which queueing delays (Fig. 6)
 are derived.
 
+The policy is Acme's (§2.2): a reserved-class job draws from its quota
+first and spills into the shared pool when the quota alone cannot fit
+it; a best-effort job may borrow idle reserved GPUs, and a reserved job
+that cannot fit evicts such borrowers from its quota.
+
 The simulator allocates from GPU *counters* rather than individual devices:
 Acme's clusters are homogeneous and gang-scheduled, so placement detail does
 not affect queueing behaviour.  Placement onto concrete nodes is exercised
@@ -35,17 +40,13 @@ class SchedulerConfig:
     the paper reserves "the majority of resources" for pretraining, so the
     default is high.  ``backfill_depth`` bounds how far down the queue the
     scheduler looks for jobs that fit (Slurm-style conservative backfill).
+    Spillover and borrower eviction are the fixed policy (module
+    docstring), not knobs.
     """
 
     total_gpus: int
     reserved_fraction: float = 0.75
     backfill_depth: int = 256
-    #: reserved-class jobs may also draw from the shared pool when the
-    #: quota alone cannot fit them
-    reserved_spillover: bool = True
-    #: reserved jobs evict best-effort borrowers occupying their quota
-    #: (the resource-isolation guarantee of §2.2)
-    preempt_borrowers: bool = True
 
     def __post_init__(self) -> None:
         if self.total_gpus <= 0:
@@ -306,14 +307,13 @@ class SchedulerSimulator:
         an eviction puts back in the queue wait for the next pass.
         """
         config, policy, queue = self.config, self.policy, self.queue
-        preempt = config.preempt_borrowers
         while queue and self._can_act():
             for job in policy.ordered(queue, config.backfill_depth):
                 pool = policy.pool_of(job)
                 demand = job.gpu_demand
                 allocation = self._fit(demand, pool)
                 if allocation is None:
-                    if (pool == "reserved" and preempt
+                    if (pool == "reserved"
                             and self._evict_borrowers_for(demand)):
                         allocation = self._fit(demand, "reserved")
                     if allocation is None:
@@ -334,21 +334,16 @@ class SchedulerSimulator:
         makes the shared one not, so every distinct demand is asked.
         Any other pool acts, so ``_fit`` still rejects it.
         """
-        free_reserved, free_shared = self.free_reserved, self.free_shared
+        free_shared = self.free_shared
+        free = self.free_reserved + free_shared
         for pool, demands in self._queued.items():
             if not demands:
                 continue
             if pool == "reserved":
-                room = free_reserved
-                if self.config.reserved_spillover:
-                    room += free_shared
-                if self.config.preempt_borrowers:
-                    room += self._borrowed
-                if min(demands) <= room:
+                if min(demands) <= free + self._borrowed:
                     return True
             elif pool == "shared":
                 capacity = self._shared_capacity
-                free = free_reserved + free_shared
                 for demand in demands:
                     if demand <= free_shared or capacity < demand <= free:
                         return True
@@ -366,9 +361,7 @@ class SchedulerSimulator:
         preemption unattractive for LLM workloads (§3.1).
         """
         if not self._borrowed or demand > (
-                self.free_reserved + self._borrowed
-                + (self.free_shared
-                   if self.config.reserved_spillover else 0)):
+                self.free_reserved + self.free_shared + self._borrowed):
             return False
         borrowers = [allocation for allocation in
                      self._allocations.values()
@@ -377,9 +370,7 @@ class SchedulerSimulator:
         borrowers.sort(key=lambda a: a.job.start_time or 0.0,
                        reverse=True)
         for allocation in borrowers:
-            if demand <= self.free_reserved + (
-                    self.free_shared
-                    if self.config.reserved_spillover else 0):
+            if demand <= self.free_reserved + self.free_shared:
                 break
             self._preempt(allocation)
         return True
@@ -430,8 +421,7 @@ class SchedulerSimulator:
         if pool == "reserved":
             if demand <= self.free_reserved:
                 return _Allocation(demand, 0)
-            if (self.config.reserved_spillover
-                    and demand <= self.free_reserved + self.free_shared):
+            if demand <= self.free_reserved + self.free_shared:
                 return _Allocation(self.free_reserved,
                                    demand - self.free_reserved)
             return None

@@ -251,20 +251,18 @@ class Engine:
 
     # -- running -----------------------------------------------------------
 
-    def run(self, until: float | None = None, max_events: int | None = None
-            ) -> float:
+    def run(self, until: float | None = None) -> float:
         """Run the loop; returns the final simulated time.
 
-        ``until`` stops the clock at a deadline (events at later times stay
+        Without ``until`` the loop runs until the heap drains.  ``until``
+        stops the clock at a deadline (events at later times stay
         queued); it must be finite and not before ``now``, or the clock
-        would end at infinity or move backwards.  ``max_events`` is a
-        safety valve for runaway simulations.
+        would end at infinity or move backwards.
         """
         if until is not None and not self.now <= until < math.inf:
             raise SimulationError(
                 f"cannot run until {until}: before now ({self.now}) "
                 f"or not finite")
-        processed = 0
         heap = self._heap
         heappop = heapq.heappop
         while heap:
@@ -296,12 +294,7 @@ class Engine:
                         and listener not in self._listeners):
                     continue
                 listener(self.now)
-            processed += 1
             self._events_processed += 1
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely a runaway "
-                    "simulation")
         if until is not None:
             self.now = max(self.now, until)
         return self.now

@@ -238,10 +238,6 @@ class StepTimeModel:
         """Total seconds per optimizer step."""
         return self.breakdown().total
 
-    def tokens_per_second_per_gpu(self) -> float:
-        """Throughput implied by the step time."""
-        return self.tokens_per_gpu() / self.step_time()
-
     def model_flops_utilization(self) -> float:
         """MFU: useful model FLOPs (6N, never counting recompute) / peak."""
         model_parallel = (self.plan.tensor_parallel

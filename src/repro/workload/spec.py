@@ -27,7 +27,6 @@ from repro.sim.distributions import (Choice, Constant, Distribution,
                                      LogNormal, Mixture, Uniform)
 
 MINUTE = 60.0
-HOUR = 3600.0
 DAY = 86400.0
 
 
@@ -136,13 +135,6 @@ class ClusterWorkloadSpec:
         if abs(total - 1.0) > 1e-6:
             raise ValueError(
                 f"{self.cluster}: count shares sum to {total}, expected 1.0")
-
-    def spec_for(self, job_type: JobType) -> TypeSpec:
-        """The TypeSpec of one workload type."""
-        for spec in self.type_specs:
-            if spec.job_type is job_type:
-                return spec
-        raise KeyError(job_type)
 
 
 #: Seren (Fig. 4a/b): pretraining 0.9% of jobs / 69.5% of GPU time; SFT and

@@ -70,7 +70,6 @@ class ReferenceSchedulerSimulator(SchedulerSimulator):
                 allocation = self._fit(job.gpu_demand, pool)
                 if allocation is None:
                     if (pool == "reserved"
-                            and self.config.preempt_borrowers
                             and self._evict_borrowers_for(
                                 job.gpu_demand)):
                         allocation = self._fit(job.gpu_demand, "reserved")
@@ -88,17 +87,13 @@ class ReferenceSchedulerSimulator(SchedulerSimulator):
         if not borrowers:
             return False
         reclaimable = sum(a.from_reserved for a in borrowers)
-        available = (self.free_reserved + reclaimable
-                     + (self.free_shared
-                        if self.config.reserved_spillover else 0))
+        available = self.free_reserved + reclaimable + self.free_shared
         if demand > available:
             return False
         borrowers.sort(key=lambda a: a.job.start_time or 0.0,
                        reverse=True)
         for allocation in borrowers:
-            if demand <= self.free_reserved + (
-                    self.free_shared
-                    if self.config.reserved_spillover else 0):
+            if demand <= self.free_reserved + self.free_shared:
                 break
             self._preempt(allocation)
         return True

@@ -52,6 +52,38 @@ class TestGenerateAndAnalyze:
         assert "median duration" in output
 
 
+#: file name -> (file content, or None for no file; what the one-line
+#: message must say)
+BAD_TRACES = {
+    "missing.csv": (None, "No such file or directory"),
+    "open-brace.jsonl": ("{\n", "Expecting property name"),
+    "no-duration.csv": ("job_id,cluster,job_type,submit_time\n"
+                        "j0,kalos,pretrain,0\n",
+                        "missing field 'duration'"),
+    "nan-duration.csv": ("job_id,cluster,job_type,submit_time,duration,"
+                         "gpu_demand,final_status\n"
+                         "j0,kalos,pretrain,0,60,8,completed\n"
+                         "j1,kalos,pretrain,1,nan,8,completed\n",
+                         "duration must be finite and non-negative"),
+    "empty.csv": ("job_id,cluster,job_type,submit_time,duration,"
+                  "gpu_demand,final_status\n", "no GPU jobs"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize("name", list(BAD_TRACES))
+def test_bad_trace_exits_2_with_one_line(command, name, tmp_path, capsys):
+    path = tmp_path / name
+    content, reason = BAD_TRACES[name]
+    if content is not None:
+        path.write_text(content)
+    assert main([command, str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"invalid trace {path}: ")
+    assert reason in out
+    assert out.count("\n") == 1
+
+
 class TestDiagnose:
     def test_diagnose_known_failure(self, tmp_path, capsys):
         log = tmp_path / "job.log"

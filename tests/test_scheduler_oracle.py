@@ -121,9 +121,7 @@ configs = st.builds(
     SchedulerConfig,
     total_gpus=st.sampled_from([1, 4, 10, 50]),
     reserved_fraction=st.sampled_from([0.0, 0.5, 0.98, 1.0]),
-    backfill_depth=st.sampled_from([1, 2, 3, 256]),
-    reserved_spillover=st.booleans(),
-    preempt_borrowers=st.booleans())
+    backfill_depth=st.sampled_from([1, 2, 3, 256]))
 
 submits = st.tuples(
     st.just("submit"), st.sampled_from(JOB_TYPES),
@@ -343,13 +341,10 @@ tie_jobs = st.lists(st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(total=st.sampled_from([1, 4, 10]),
        reserved=st.sampled_from([0.0, 0.5, 0.75, 0.98]),
-       depth=st.sampled_from([1, 2, 3, 256]),
-       spillover=st.booleans(), preempt=st.booleans(), jobs=tie_jobs)
-def test_fed_arrivals_match_eager_pushes(total, reserved, depth, spillover,
-                                         preempt, jobs):
+       depth=st.sampled_from([1, 2, 3, 256]), jobs=tie_jobs)
+def test_fed_arrivals_match_eager_pushes(total, reserved, depth, jobs):
     config = SchedulerConfig(
-        total_gpus=total, reserved_fraction=reserved, backfill_depth=depth,
-        reserved_spillover=spillover, preempt_borrowers=preempt)
+        total_gpus=total, reserved_fraction=reserved, backfill_depth=depth)
     specs = [(job_type, submit, duration, min(demand, total))
              for job_type, submit, duration, demand in jobs]
     assert (replay(SchedulerSimulator.simulate, config, specs)

@@ -200,18 +200,6 @@ class TestPreemption:
         sim.simulate([debug, pre])
         assert debug.queueing_delay == 0.0
 
-    def test_no_preemption_when_disabled(self):
-        config = SchedulerConfig(total_gpus=10, reserved_fraction=0.8,
-                                 preempt_borrowers=False)
-        sim = SchedulerSimulator(config)
-        debug = job("dbg", 6, submit=0.0, duration=100.0,
-                    job_type=JobType.DEBUG)
-        pre = job("pre", 8, submit=10.0, duration=50.0,
-                  job_type=JobType.PRETRAIN)
-        sim.simulate([debug, pre])
-        assert sim.preemptions == 0
-        assert pre.start_time == pytest.approx(100.0)
-
     def test_pure_shared_jobs_never_preempted(self):
         config = SchedulerConfig(total_gpus=10, reserved_fraction=0.8)
         sim = SchedulerSimulator(config)

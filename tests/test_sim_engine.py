@@ -69,16 +69,6 @@ class TestScheduling:
         engine = Engine()
         assert engine.run(until=7.0) == 7.0
 
-    def test_max_events_guard(self):
-        engine = Engine()
-
-        def reschedule():
-            engine.call_after(1.0, reschedule)
-
-        engine.call_at(0.0, reschedule)
-        with pytest.raises(SimulationError):
-            engine.run(max_events=50)
-
     def test_pending_counts_uncancelled(self):
         engine = Engine()
         item = engine.call_at(1.0, lambda: None)
