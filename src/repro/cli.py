@@ -92,9 +92,7 @@ def _load_trace(path: str):
         trace = load(file_path)
     except OSError as error:
         reason = error.strerror or str(error)
-    except KeyError as error:
-        reason = f"missing field {error}"
-    except (TypeError, ValueError) as error:
+    except ValueError as error:
         reason = str(error)
     else:
         if trace.gpu_jobs():

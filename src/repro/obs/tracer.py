@@ -8,9 +8,11 @@ Two implementations share one duck type:
   counts executed events);
 * :class:`NullTracer` — every method is a no-op returning shared
   immutable sentinels.  Instrumented modules default to the
-  :data:`NULL_TRACER` singleton, so an untraced run pays one attribute
-  load and one no-op call per instrumentation point — and produces
-  byte-identical artifacts to a build without instrumentation.
+  :data:`NULL_TRACER` singleton, so an untraced run produces
+  byte-identical artifacts to a build without instrumentation.  A
+  no-op call still pays for building its arguments, so per-job and
+  per-event sites build them only when ``enabled`` (read once, at
+  construction) is true.
 
 The tracer never samples randomness and never reads the wall clock;
 with a deterministic engine underneath, a seeded scenario traced twice

@@ -88,7 +88,9 @@ class SchedulerSimulator:
         self.policy = policy or ReservationPolicy()
         self.engine = engine or Engine()
         self.tracer = tracer or NULL_TRACER
-        #: open queue-wait / run spans, by job id (observability)
+        #: read once: an untraced run builds no span name or argument
+        self._traced = self.tracer.enabled
+        #: open queue-wait / run spans, by job id (traced runs only)
         self._wait_spans: dict[str, Span] = {}
         self._run_spans: dict[str, Span] = {}
         self.queue = JobQueue()
@@ -107,6 +109,9 @@ class SchedulerSimulator:
         #: a pass learns from the distinct demands alone whether any
         #: queued job could start (see ``_can_act``)
         self._queued: dict[str, dict[int, int]] = {}
+        #: each queued job's pool, ``job_id -> pool``, asked once when
+        #: the job is queued rather than on every pass that examines it
+        self._pools: dict[str, str] = {}
         #: GPUs held by running jobs, kept as a running total so the
         #: chaos invariant checker reads it in O(1) after every event
         self.gpus_allocated = 0
@@ -204,15 +209,14 @@ class SchedulerSimulator:
         job = self.queue.get(job_id)
         if job is None:
             raise KeyError(f"job {job_id} is not queued")
-        self._dequeue(job, self.policy.pool_of(job))
+        self._dequeue(job)
         job.mark_canceled(self.engine.now)
         if reason is not None:
             job.failure_reason = reason
         self.shed.append(job)
-        wait = self._wait_spans.pop(job_id, None)
-        if wait is not None:
-            self.tracer.end(wait, outcome="shed")
-        self.tracer.set_gauge("scheduler.queue_length", len(self.queue))
+        if self._traced:
+            self.tracer.end(self._wait_spans.pop(job_id), outcome="shed")
+            self.tracer.set_gauge("scheduler.queue_length", len(self.queue))
         self._notify("shed", job)
         return job
 
@@ -268,18 +272,20 @@ class SchedulerSimulator:
                                    lambda: self._on_cpu_finish(job))
             return
         self._enqueue(job)
-        self._wait_spans[job.job_id] = self.tracer.begin(
-            f"wait:{job.job_id}", "scheduler.queue",
-            job_type=job.job_type.value, gpus=job.gpu_demand)
-        self.tracer.set_gauge("scheduler.queue_length", len(self.queue))
+        if self._traced:
+            self._wait_spans[job.job_id] = self.tracer.begin(
+                f"wait:{job.job_id}", "scheduler.queue",
+                job_type=job.job_type.value, gpus=job.gpu_demand)
+            self.tracer.set_gauge("scheduler.queue_length", len(self.queue))
         self._try_schedule()
 
     def _on_cpu_finish(self, job: Job) -> None:
         job.mark_finished(self.engine.now)
         self.finished.append(job)
-        self.tracer.complete(
-            f"run:{job.job_id}", job.start_time or 0.0, self.engine.now,
-            "scheduler.cpu", job_type=job.job_type.value)
+        if self._traced:
+            self.tracer.complete(
+                f"run:{job.job_id}", job.start_time or 0.0, self.engine.now,
+                "scheduler.cpu", job_type=job.job_type.value)
         self._notify("finish", job)
 
     def _on_finish(self, job: Job) -> None:
@@ -292,9 +298,8 @@ class SchedulerSimulator:
         self._try_schedule()
 
     def _end_run_span(self, job: Job, outcome: str) -> None:
-        span = self._run_spans.pop(job.job_id, None)
-        if span is not None:
-            self.tracer.end(span, outcome=outcome)
+        if self._traced:
+            self.tracer.end(self._run_spans.pop(job.job_id), outcome=outcome)
 
     # -- scheduling core ------------------------------------------------------
 
@@ -305,11 +310,13 @@ class SchedulerSimulator:
         (``_can_act``).  Each pass fixes its window (the policy's first
         ``backfill_depth`` jobs) before the first fit attempt, so jobs
         an eviction puts back in the queue wait for the next pass.
+        Each candidate's pool is the one ``_enqueue`` cached.
         """
         config, policy, queue = self.config, self.policy, self.queue
+        pools = self._pools
         while queue and self._can_act():
             for job in policy.ordered(queue, config.backfill_depth):
-                pool = policy.pool_of(job)
+                pool = pools[job.job_id]
                 demand = job.gpu_demand
                 allocation = self._fit(demand, pool)
                 if allocation is None:
@@ -385,22 +392,24 @@ class SchedulerSimulator:
         self.preemptions += 1
         self._enqueue(job)
         self._end_run_span(job, "preempt")
-        self._wait_spans[job.job_id] = self.tracer.begin(
-            f"wait:{job.job_id}", "scheduler.queue", preempted=True,
-            job_type=job.job_type.value, gpus=job.gpu_demand)
+        if self._traced:
+            self._wait_spans[job.job_id] = self.tracer.begin(
+                f"wait:{job.job_id}", "scheduler.queue", preempted=True,
+                job_type=job.job_type.value, gpus=job.gpu_demand)
         self._record_occupancy()
         self._notify("preempt", job)
 
     def _enqueue(self, job: Job) -> None:
-        """Queue ``job`` and count its demand under its pool."""
+        """Queue ``job``, ask its pool once and count its demand there."""
         self.queue.push(job)
-        demands = self._queued.setdefault(self.policy.pool_of(job), {})
+        pool = self._pools[job.job_id] = self.policy.pool_of(job)
+        demands = self._queued.setdefault(pool, {})
         demands[job.gpu_demand] = demands.get(job.gpu_demand, 0) + 1
 
-    def _dequeue(self, job: Job, pool: str) -> None:
-        """Unqueue ``job`` and uncount its demand from ``pool``."""
+    def _dequeue(self, job: Job) -> None:
+        """Unqueue ``job`` and uncount its demand from its cached pool."""
         self.queue.remove(job)
-        demands = self._queued[pool]
+        demands = self._queued[self._pools.pop(job.job_id)]
         count = demands[job.gpu_demand]
         if count == 1:
             del demands[job.gpu_demand]
@@ -440,7 +449,7 @@ class SchedulerSimulator:
 
     def _start(self, job: Job, allocation: _Allocation,
                pool: str = "shared") -> None:
-        self._dequeue(job, pool)
+        self._dequeue(job)
         self.free_reserved -= allocation.from_reserved
         self.free_shared -= allocation.from_shared
         self.gpus_allocated += (allocation.from_reserved
@@ -452,14 +461,14 @@ class SchedulerSimulator:
         self._allocations[job.job_id] = allocation
         job.mark_started(self.engine.now)
         self.started.append(job)
-        wait = self._wait_spans.pop(job.job_id, None)
-        if wait is not None:
-            self.tracer.end(wait, outcome="scheduled", pool=pool)
-        self._run_spans[job.job_id] = self.tracer.begin(
-            f"run:{job.job_id}", "scheduler.run", pool=pool,
-            gpus=job.gpu_demand, job_type=job.job_type.value,
-            borrowed=allocation.from_reserved if pool == "shared" else 0)
-        self.tracer.set_gauge("scheduler.queue_length", len(self.queue))
+        if self._traced:
+            self.tracer.end(self._wait_spans.pop(job.job_id),
+                            outcome="scheduled", pool=pool)
+            self._run_spans[job.job_id] = self.tracer.begin(
+                f"run:{job.job_id}", "scheduler.run", pool=pool,
+                gpus=job.gpu_demand, job_type=job.job_type.value,
+                borrowed=allocation.from_reserved if pool == "shared" else 0)
+            self.tracer.set_gauge("scheduler.queue_length", len(self.queue))
         self._record_occupancy()
         self._notify("start", job)
         allocation.finish_item = self.engine.call_after(
@@ -469,7 +478,8 @@ class SchedulerSimulator:
         in_use = (self.config.total_gpus - self.free_reserved
                   - self.free_shared - self.cordoned_gpus)
         self.occupancy.append((self.engine.now, in_use))
-        self.tracer.set_gauge("scheduler.gpus_in_use", in_use)
+        if self._traced:
+            self.tracer.set_gauge("scheduler.gpus_in_use", in_use)
 
     # -- reporting ------------------------------------------------------------
 

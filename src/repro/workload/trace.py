@@ -139,15 +139,19 @@ class Trace:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Trace":
-        """Load a trace written by :meth:`to_csv`."""
+        """Load a trace written by :meth:`to_csv`.
+
+        A bad record raises ``ValueError`` naming its line in the file.
+        """
         path = Path(path)
         jobs = []
         with path.open() as handle:
-            for row in csv.DictReader(handle):
+            reader = csv.DictReader(handle)
+            for row in reader:
                 for key in ("start_time", "end_time", "failure_reason"):
                     if row.get(key) in ("", "None"):
                         row[key] = None
-                jobs.append(Job.from_record(row))
+                jobs.append(_job_on_line(reader.line_num, row))
         cluster = jobs[0].cluster if jobs else "unknown"
         return cls(cluster, jobs)
 
@@ -160,12 +164,34 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "Trace":
-        """Load a trace written by :meth:`to_jsonl`."""
+        """Load a trace written by :meth:`to_jsonl`.
+
+        A bad record raises ``ValueError`` naming its line in the file.
+        """
         path = Path(path)
         jobs = []
         with path.open() as handle:
-            for line in handle:
-                if line.strip():
-                    jobs.append(Job.from_record(json.loads(line)))
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as error:
+                    raise ValueError(f"line {number}: {error.msg}") from None
+                if not isinstance(record, dict):
+                    raise ValueError(f"line {number}: not a JSON object")
+                jobs.append(_job_on_line(number, record))
         cluster = jobs[0].cluster if jobs else "unknown"
         return cls(cluster, jobs)
+
+
+def _job_on_line(number: int, record: dict) -> Job:
+    """``Job.from_record(record)``; a bad record's error names ``number``,
+    its line in the file."""
+    try:
+        return Job.from_record(record)
+    except KeyError as error:
+        reason = f"missing field {error}"
+    except (TypeError, ValueError) as error:
+        reason = str(error)
+    raise ValueError(f"line {number}: {reason}")

@@ -3,8 +3,8 @@
 ``ReferenceSchedulerSimulator`` keeps the straightforward versions of
 three of them:
 
-* ``_try_schedule`` pairs every job in the policy's window with its
-  pool on every pass, whether or not any queued job could fit;
+* ``_try_schedule`` asks the policy for the pool of every job in its
+  window on every pass, whether or not any queued job could fit;
 * ``_evict_borrowers_for`` rescans every allocation for borrowers on
   every blocked reserved-pool candidate;
 * ``state_digest`` reprs the whole queue as one tuple.

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import main
 from repro.failures.logs import generate_job_log
+from repro.workload.generator import TraceGenerator
+from repro.workload.spec import KALOS_SPEC
 from repro.workload.trace import Trace
 
 
@@ -52,6 +54,11 @@ class TestGenerateAndAnalyze:
         assert "median duration" in output
 
 
+#: three generated jobs, one JSONL record a line
+THREE_JOBS = "".join(
+    json.dumps(job.to_record()) + "\n"
+    for job in TraceGenerator(KALOS_SPEC, seed=0).generate(3).jobs)
+
 #: file name -> (file content, or None for no file; what the one-line
 #: message must say)
 BAD_TRACES = {
@@ -67,6 +74,17 @@ BAD_TRACES = {
                          "duration must be finite and non-negative"),
     "empty.csv": ("job_id,cluster,job_type,submit_time,duration,"
                   "gpu_demand,final_status\n", "no GPU jobs"),
+    # a bad record names its line in the file
+    "brace-on-line-4.jsonl": (THREE_JOBS + "{\n",
+                              "line 4: Expecting property name"),
+    "list-record.jsonl": (THREE_JOBS + "\n[1]\n",
+                          "line 5: not a JSON object"),
+    "nan-on-line-3.csv": ("job_id,cluster,job_type,submit_time,duration,"
+                          "gpu_demand,final_status\n"
+                          "j0,kalos,pretrain,0,60,8,completed\n"
+                          "j1,kalos,pretrain,1,nan,8,completed\n"
+                          "j2,kalos,pretrain,2,60,8,completed\n",
+                          "line 3: duration must be finite"),
 }
 
 

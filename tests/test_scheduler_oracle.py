@@ -2,8 +2,8 @@
 
 ``SchedulerSimulator`` skips passes in which no queued job could start
 or evict a borrower, keeps running borrower, allocated and per-pool
-queued-demand totals, asks a job's pool only when it examines the job,
-and digests the queue from cached text.  Each of those is exact by
+queued-demand totals, asks a job's pool once, when it is queued, and
+digests the queue from cached text.  Each of those is exact by
 construction; this file checks it by driving the simulator and the
 reference in ``tests/oracles/scheduler.py`` (which tries every job in
 its window on every pass) side by side through random submits,
@@ -80,6 +80,8 @@ class Twin:
         assert sim.gpus_allocated == allocated_gpus(sim)
         assert {pool: demands for pool, demands in sim._queued.items()
                 if demands} == queued_demands(sim)
+        assert sim._pools == {job.job_id: sim.policy.pool_of(job)
+                              for job in sim.queue}
 
     def submit(self, job_type: JobType, demand: int, duration: float,
                delay: float = 0.0) -> str:
