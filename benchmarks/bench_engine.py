@@ -1,6 +1,6 @@
 """Persistent engine-throughput benchmark (events/sec, jobs/sec).
 
-Measures the simulator's raw speed on four pinned scenarios and
+Measures the simulator's raw speed on three pinned scenarios and
 compares it against the committed baseline in ``BENCH_engine.json`` at
 the repo root:
 
@@ -8,8 +8,6 @@ the repo root:
   no simulation logic.  The ceiling every other number sits under.
 * **chaos-storm** — the bundled ``storage-storm`` scenario end-to-end
   (scheduler + recovery + invariant checker on every event).
-* **fabric-contention** — max-min fair water-filling over a saturated
-  fabric, repeated; measures rate *solves* per second.
 * **scheduler-replay** — a full synthetic-trace scheduler replay;
   reports jobs/sec alongside events/sec.
 
@@ -26,7 +24,7 @@ and rewrites the baseline for the chosen profile, preserving the
 other profile's numbers.
 
 Also importable: each ``run_*`` function returns its metrics dict, and
-``run_profile`` drives all four (pytest wraps them in
+``run_profile`` drives all three (pytest wraps them in
 ``tests/test_bench_engine_smoke.py``-style smoke checks via --quick).
 """
 
@@ -47,15 +45,11 @@ PROFILES: dict[str, dict[str, int]] = {
     "quick": {
         "idle_events": 200_000,
         "storm_repeats": 5,
-        "contention_flows": 192,
-        "contention_rounds": 400,
         "replay_jobs": 20_000,
     },
     "full": {
         "idle_events": 2_000_000,
         "storm_repeats": 10,
-        "contention_flows": 384,
-        "contention_rounds": 1_000,
         "replay_jobs": 100_000,
     },
 }
@@ -108,31 +102,6 @@ def run_chaos_storm(repeats: int) -> dict:
             "events_per_sec": events / elapsed}
 
 
-def run_fabric_contention(n_flows: int, rounds: int) -> dict:
-    """Max-min fair solves over a saturated multi-tier fabric."""
-    from repro.cluster.network import Flow, max_min_fair_rates
-
-    nodes = max(8, n_flows // 8)
-    links = {f"nic:{node}": 25e9 for node in range(nodes)}
-    links.update({f"leaf:{leaf}": 100e9
-                  for leaf in range(max(1, nodes // 8))})
-    leaves = max(1, nodes // 8)
-    flows = [Flow(f"f{i}",
-                  (f"nic:{i % nodes}", f"leaf:{i % leaves}",
-                   f"nic:{(i * 7 + 3) % nodes}"),
-                  rate_cap=12.5e9 if i % 3 else float("inf"))
-             for i in range(n_flows)]
-    warmup = max_min_fair_rates(links, flows)
-    assert len(warmup) == n_flows, "solver dropped flows"
-    start = time.perf_counter()
-    for _ in range(rounds):
-        max_min_fair_rates(links, flows)
-    elapsed = time.perf_counter() - start
-    return {"events": rounds, "seconds": elapsed,
-            "events_per_sec": rounds / elapsed,
-            "flows": n_flows}
-
-
 def run_scheduler_replay(n_jobs: int) -> dict:
     """Full synthetic-trace scheduler replay (the Fig. 6 machinery)."""
     from dataclasses import replace
@@ -159,13 +128,11 @@ def run_scheduler_replay(n_jobs: int) -> dict:
 
 
 def run_profile(profile: str) -> dict[str, dict]:
-    """All four pinned scenarios at the given profile's sizes."""
+    """All three pinned scenarios at the given profile's sizes."""
     sizes = PROFILES[profile]
     return {
         "idle-engine": run_idle_engine(sizes["idle_events"]),
         "chaos-storm": run_chaos_storm(sizes["storm_repeats"]),
-        "fabric-contention": run_fabric_contention(
-            sizes["contention_flows"], sizes["contention_rounds"]),
         "scheduler-replay": run_scheduler_replay(sizes["replay_jobs"]),
     }
 

@@ -5,10 +5,7 @@ the network fabric (Table 3: NVLink/IB link errors, NIC flaps, switch
 failures).  This module makes the otherwise-immutable fat-tree model
 (`repro.cluster.fattree.FatTree`) degradable: a :class:`LinkHealth`
 overlay records ``[start, end)`` fault windows on the simulation clock,
-and the fabric consults it when computing bandwidth factors.  For
-max-min fair rates under the faults, scale each link capacity passed to
-:func:`repro.cluster.network.max_min_fair_rates` by
-:meth:`LinkHealth.factor`.
+and the fabric consults it when computing bandwidth factors.
 
 Three fault shapes are supported, mirroring the chaos fault kinds:
 
@@ -37,9 +34,6 @@ from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.fattree import FatTreeConfig
-
-#: bounded per-(link, at) memo size; cleared wholesale when exceeded
-_MEMO_MAX = 8192
 
 
 def nic_link(node: int) -> str:
@@ -95,7 +89,6 @@ class LinkHealth:
         #: per-link piecewise-constant factor timeline, built lazily:
         #: (sorted boundaries, factor on [boundary[i], boundary[i+1]))
         self._timelines: dict[str, tuple[list[float], list[float]]] = {}
-        self._memo: dict[tuple[str, float], float] = {}
 
     @property
     def empty(self) -> bool:
@@ -110,8 +103,6 @@ class LinkHealth:
         """Register a fault window (invalidates cached timelines)."""
         self._faults.append(fault)
         self._timelines.pop(fault.link, None)
-        if self._memo:
-            self._memo.clear()
 
     def link_down(self, link: str, start: float, end: float) -> None:
         """Take ``link`` fully down for ``[start, end)``.
@@ -119,7 +110,7 @@ class LinkHealth:
         An empty window (``end <= start``, e.g. a zero-duration chaos
         fault) is a strict no-op: nothing is registered, ``empty``
         stays true, and no degenerate ``[t, t)`` entry can perturb
-        timelines or memo state.
+        the timelines.
         """
         if end <= start:
             return
@@ -166,27 +157,18 @@ class LinkHealth:
         1.0 when healthy; the minimum factor across overlapping
         windows otherwise (a down window dominates a degraded one).
 
-        Answered from a lazily built piecewise-constant timeline per
-        link by bisect, fronted by a bounded ``(link, at)`` memo — chaos
-        storms query the same (link, time) pairs repeatedly from rate
-        recomputation.  The timeline equals a scan over every window:
-        the factor is constant between consecutive window boundaries.
+        Answered by bisect from a lazily built piecewise-constant
+        timeline per link.  The timeline equals a scan over every
+        window: the factor is constant between consecutive window
+        boundaries.
         """
-        key = (link, at)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
         timeline = self._timelines.get(link)
         if timeline is None:
             timeline = self._build_timeline(link)
             self._timelines[link] = timeline
         boundaries, factors = timeline
         segment = bisect_right(boundaries, at) - 1
-        result = 1.0 if segment < 0 else factors[segment]
-        if len(self._memo) >= _MEMO_MAX:
-            self._memo.clear()
-        self._memo[key] = result
-        return result
+        return 1.0 if segment < 0 else factors[segment]
 
     def _build_timeline(self, link: str
                         ) -> tuple[list[float], list[float]]:

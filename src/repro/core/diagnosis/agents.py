@@ -103,16 +103,12 @@ class FailureAgent:
         self.store = store or VectorStore()
         self.consistency_samples = consistency_samples
         self._taxonomy = taxonomy_by_reason()
-        self.rule_path_count = 0
-        self.agent_path_count = 0
-        self.unknown_count = 0
         self.tracer = tracer or NULL_TRACER
 
     def diagnose(self, error_lines: list[str],
                  compression: CompressionResult) -> Diagnosis:
         """Identify the root cause of the given error evidence."""
         if not error_lines:
-            self.unknown_count += 1
             self.tracer.count("diagnosis.unknown")
             return Diagnosis(
                 reason="Unknown", category=FailureCategory.FRAMEWORK,
@@ -122,7 +118,6 @@ class FailureAgent:
         with self.tracer.span("diagnosis:rules", "diagnosis"):
             matched = self.diagnoser.diagnose(error_lines)
         if matched is not None:
-            self.rule_path_count += 1
             self.tracer.count("diagnosis.rule_hits")
             category = self.diagnoser.category_of(matched)
             return Diagnosis(
@@ -152,7 +147,6 @@ class FailureAgent:
                 past_reason = hits[0].document.metadata.get("reason")
                 if past_reason and past_reason != "Unknown":
                     verdict = self._verdict_for(past_reason, error_lines)
-        self.agent_path_count += 1
         self.tracer.count("diagnosis.agent_path")
         doc_id = f"incident-{len(self.store):06d}"
         self.store.add(doc_id, evidence_text, {"reason": verdict.reason})

@@ -8,8 +8,8 @@ and CPU metric computation.
 
 from repro.evaluation.datasets import (EvalDataset, DATASET_CATALOG,
                                        standard_catalog, dataset_by_name)
-from repro.evaluation.harness import (EvalStage, StageSegment, EvalTrial,
-                                      TrialProfile, humaneval_profile)
+from repro.evaluation.harness import (EvalStage, StageSegment, TrialProfile,
+                                      humaneval_profile)
 from repro.evaluation.quality import (QualityModel, QualityCurveConfig,
                                       CheckpointScore,
                                       select_best_checkpoint,
@@ -22,7 +22,6 @@ __all__ = [
     "dataset_by_name",
     "EvalStage",
     "StageSegment",
-    "EvalTrial",
     "TrialProfile",
     "humaneval_profile",
     "QualityModel",

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from repro.evaluation.datasets import EvalDataset, dataset_by_name
+from repro.evaluation.datasets import dataset_by_name
 from repro.training.profiler import UtilizationTimeline
 
 GB = 10 ** 9
@@ -104,72 +104,6 @@ class TrialProfile:
         return UtilizationTimeline(times=times, sm=sm, tc=tc)
 
 
-@dataclass
-class EvalTrial:
-    """One trial: a model checkpoint against one or more datasets."""
-
-    datasets: list[EvalDataset]
-    model_bytes: float = 14 * GB  # fp16 7B
-    #: effective load rate from remote storage, bytes/s — includes
-    #: contention and deserialization (Fig. 16 left shows ~0.2-2 GB/s)
-    load_rate: float = 0.25 * GB
-    #: preprocessing is skipped when tokenized data is cached (§4.2)
-    preprocess_cached: bool = False
-    #: model loading is skipped when a precursor job staged the model in
-    #: node shared memory (§6.2); only a PCIe copy remains
-    model_staged: bool = False
-    pcie_rate: float = 20 * GB
-
-    def __post_init__(self) -> None:
-        if not self.datasets:
-            raise ValueError("trial needs at least one dataset")
-        if self.load_rate <= 0 or self.pcie_rate <= 0:
-            raise ValueError("rates must be positive")
-
-    # -- stage durations --------------------------------------------------
-
-    def load_seconds(self) -> float:
-        """Model-loading time (remote or staged path)."""
-        if self.model_staged:
-            return self.model_bytes / self.pcie_rate
-        return self.model_bytes / self.load_rate
-
-    def preprocess_seconds(self) -> float:
-        """Tokenization time (tiny when cached)."""
-        if self.preprocess_cached:
-            return sum(d.preprocess_seconds for d in self.datasets) * 0.05
-        return sum(d.preprocess_seconds for d in self.datasets)
-
-    def inference_seconds(self) -> float:
-        """GPU inference time across the trial's datasets."""
-        return sum(d.inference_seconds for d in self.datasets)
-
-    def metric_seconds(self) -> float:
-        """CPU metric-computation time across the datasets."""
-        return sum(d.metric_cpu_seconds for d in self.datasets)
-
-    # -- profiles -----------------------------------------------------------
-
-    def profile(self, decoupled_metric: bool = False) -> TrialProfile:
-        """Stage timeline; with ``decoupled_metric`` the trial ends when
-        inference does (metric runs as a separate CPU job, §6.2)."""
-        profile = TrialProfile()
-        cursor = 0.0
-        stages = [
-            (EvalStage.MODEL_LOAD, self.load_seconds()),
-            (EvalStage.PREPROCESS, self.preprocess_seconds()),
-            (EvalStage.INFERENCE, self.inference_seconds()),
-        ]
-        if not decoupled_metric:
-            stages.append((EvalStage.METRIC, self.metric_seconds()))
-        for stage, duration in stages:
-            if duration <= 0:
-                continue
-            profile.segments.append(StageSegment(stage, cursor, duration))
-            cursor += duration
-        return profile
-
-
 def humaneval_profile(model_scale: float = 1.0) -> TrialProfile:
     """The Fig. 13 reference trial: HumanEval on a 7B model.
 
@@ -179,9 +113,10 @@ def humaneval_profile(model_scale: float = 1.0) -> TrialProfile:
     humaneval = dataset_by_name("humaneval").scaled(model_scale)
     # Fig. 13's trial runs the correctness tests inline but they overlap
     # the tail only (42 s of exposed idle).
-    trial = EvalTrial(datasets=[humaneval], load_rate=0.26 * GB)
     profile = TrialProfile()
-    load = trial.load_seconds()
+    # fp16 7B weights from remote storage at an effective 0.26 GB/s
+    # (contention and deserialization included; Fig. 16 left)
+    load = 14 * GB / (0.26 * GB)
     preprocess = humaneval.preprocess_seconds
     inference = humaneval.inference_seconds
     exposed_metric = 42.0 * model_scale

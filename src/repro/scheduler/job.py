@@ -163,14 +163,16 @@ class Job:
     @classmethod
     def from_record(cls, record: dict) -> "Job":
         """Rebuild a job from :meth:`to_record` output."""
+        cpu_demand = record.get("cpu_demand")
         job = cls(
             job_id=record["job_id"],
             cluster=record["cluster"],
             job_type=JobType(record["job_type"]),
             submit_time=float(record["submit_time"]),
             duration=float(record["duration"]),
-            gpu_demand=int(record["gpu_demand"]),
-            cpu_demand=int(record.get("cpu_demand", 0) or 0),
+            gpu_demand=_whole("gpu_demand", record["gpu_demand"]),
+            cpu_demand=(0 if cpu_demand in (None, "")
+                        else _whole("cpu_demand", cpu_demand)),
             final_status=FinalStatus(record["final_status"]),
             gpu_utilization=float(record.get("gpu_utilization", 0.0) or 0.0),
             failure_reason=record.get("failure_reason") or None,
@@ -182,3 +184,12 @@ class Job:
         if end is not None and end != "":
             job.mark_finished(float(end))
         return job
+
+
+def _whole(name: str, value: int | float | str) -> int:
+    """A resource count read from a record: a boolean or a number with
+    a fractional part is rejected rather than truncated by ``int``."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)

@@ -145,7 +145,7 @@ class Trace:
         """
         path = Path(path)
         jobs = []
-        with path.open() as handle:
+        with path.open(newline="") as handle:
             reader = csv.DictReader(handle)
             for row in reader:
                 for key in ("start_time", "end_time", "failure_reason"):

@@ -24,7 +24,6 @@ from repro.service.state import RollingDigest
 
 from . import diagnosis, invariants
 from .linkhealth import factor_scan
-from .network import max_min_fair_rates_scalar
 from .scheduler import ReferenceSchedulerSimulator, ordered_by_sort
 from .service import full_text_digest
 
@@ -45,9 +44,6 @@ def substitute(monkeypatch: pytest.MonkeyPatch) -> Counter[str]:
             return oracle(*args, **kwargs)
         return call
 
-    monkeypatch.setattr("repro.cluster.network.max_min_fair_rates",
-                        counted("max_min_fair_rates",
-                                max_min_fair_rates_scalar))
     monkeypatch.setattr(LinkHealth, "factor", counted(
         "LinkHealth.factor", factor_scan))
     monkeypatch.setattr(PriorityPolicy, "ordered", counted(

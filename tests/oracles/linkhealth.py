@@ -1,7 +1,7 @@
 """Reference ``LinkHealth.factor``: a linear scan over every window.
 
-Production answers from a per-link bisect timeline behind a
-``(link, at)`` memo; both must equal this scan for any link and time.
+Production answers from a per-link bisect timeline, which must equal
+this scan for any link and time.
 """
 
 from __future__ import annotations

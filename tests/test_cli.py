@@ -59,6 +59,13 @@ THREE_JOBS = "".join(
     json.dumps(job.to_record()) + "\n"
     for job in TraceGenerator(KALOS_SPEC, seed=0).generate(3).jobs)
 
+
+def fourth_job(**fields) -> str:
+    """THREE_JOBS plus a copy of its first record with ``fields`` set."""
+    first = json.loads(THREE_JOBS.splitlines()[0])
+    return THREE_JOBS + json.dumps({**first, **fields}) + "\n"
+
+
 #: file name -> (file content, or None for no file; what the one-line
 #: message must say)
 BAD_TRACES = {
@@ -85,6 +92,20 @@ BAD_TRACES = {
                           "j1,kalos,pretrain,1,nan,8,completed\n"
                           "j2,kalos,pretrain,2,60,8,completed\n",
                           "line 3: duration must be finite"),
+    # a resource count is rejected, not truncated by int()
+    "fractional-gpu.jsonl": (fourth_job(gpu_demand=8.7),
+                             "line 4: gpu_demand must be a whole number, "
+                             "got 8.7"),
+    "boolean-gpu.jsonl": (fourth_job(gpu_demand=True),
+                          "line 4: gpu_demand must be a whole number, "
+                          "got True"),
+    "fractional-cpu.jsonl": (fourth_job(cpu_demand=2.5),
+                             "line 4: cpu_demand must be a whole number, "
+                             "got 2.5"),
+    # int(inf) raises OverflowError, not the ValueError readers catch
+    "infinite-gpu.jsonl": (fourth_job(gpu_demand=float("inf")),
+                           "line 4: gpu_demand must be a whole number, "
+                           "got inf"),
 }
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.plotting import SvgFigure
 from repro.analysis.report import render_key_values, render_table
-from repro.cluster.network import Flow, max_min_fair_rates
 from repro.core.diagnosis import DiagnosisSystem
 from repro.core.evalsched import (CoordinatorConfig, TrialCoordinator,
                                   lpt_pack)
@@ -44,22 +43,6 @@ class TestEngineEdges:
         engine.call_at(1.0, lambda: None)
         engine.run()
         assert engine.run() == 1.0  # empty second run keeps the clock
-
-
-class TestNetworkEdges:
-    def test_zero_capacity_flow_via_tiny_cap(self):
-        rates = max_min_fair_rates(
-            {"l": 100.0}, [Flow("a", ("l",), rate_cap=1e-9)])
-        assert rates["a"] == pytest.approx(1e-9)
-
-    def test_flow_over_same_link_twice(self):
-        # A flow listing a link twice consumes two shares of it.
-        rates = max_min_fair_rates({"l": 100.0},
-                                   [Flow("loop", ("l", "l"))])
-        assert rates["loop"] == pytest.approx(50.0)
-
-    def test_no_flows(self):
-        assert max_min_fair_rates({"l": 10.0}, []) == {}
 
 
 class TestDiagnosisEdges:
@@ -159,3 +142,15 @@ class TestTraceEdges:
         trace.to_csv(path)
         loaded = Trace.from_csv(path)
         assert loaded.jobs[0].failure_reason == "错误Error"
+
+    def test_crlf_failure_reason_round_trip(self, tmp_path):
+        """A line break inside a quoted CSV field keeps its ``\\r``."""
+        from repro.scheduler.job import FinalStatus, Job, JobType
+
+        job = Job("u", "x", JobType.DEBUG, 0.0, 5.0, 1,
+                  final_status=FinalStatus.FAILED,
+                  failure_reason="x\r\ny")
+        trace = Trace("x", [job])
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        assert Trace.from_csv(path).jobs[0].failure_reason == "x\r\ny"

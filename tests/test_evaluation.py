@@ -6,8 +6,7 @@ import pytest
 
 from repro.evaluation.datasets import (DATASET_CATALOG, dataset_by_name,
                                        standard_catalog)
-from repro.evaluation.harness import (EvalStage, EvalTrial,
-                                      humaneval_profile)
+from repro.evaluation.harness import EvalStage, humaneval_profile
 
 
 class TestCatalog:
@@ -69,45 +68,6 @@ class TestCatalog:
         catalog = standard_catalog(model_scale=2.0)
         assert catalog[0].inference_seconds == pytest.approx(
             2 * DATASET_CATALOG[0].inference_seconds)
-
-
-class TestTrial:
-    def trial(self, **overrides):
-        defaults = dict(datasets=[dataset_by_name("humaneval")])
-        defaults.update(overrides)
-        return EvalTrial(**defaults)
-
-    def test_staged_load_much_faster(self):
-        """§6.2: PCIe from shared memory beats remote storage."""
-        remote = self.trial()
-        staged = self.trial(model_staged=True)
-        assert staged.load_seconds() < remote.load_seconds() / 10
-
-    def test_preprocess_cache_shrinks_stage(self):
-        cached = self.trial(preprocess_cached=True)
-        cold = self.trial()
-        assert cached.preprocess_seconds() < cold.preprocess_seconds()
-
-    def test_profile_orders_stages(self):
-        profile = self.trial().profile()
-        stages = [segment.stage for segment in profile.segments]
-        assert stages == [EvalStage.MODEL_LOAD, EvalStage.PREPROCESS,
-                          EvalStage.INFERENCE, EvalStage.METRIC]
-
-    def test_decoupled_metric_drops_gpu_tail(self):
-        coupled = self.trial().profile()
-        decoupled = self.trial().profile(decoupled_metric=True)
-        assert (coupled.total - decoupled.total) == pytest.approx(
-            dataset_by_name("humaneval").metric_cpu_seconds)
-
-    def test_multi_dataset_trial_sums_stages(self):
-        trial = self.trial(datasets=[dataset_by_name("wic"),
-                                     dataset_by_name("wsc")])
-        assert trial.inference_seconds() == pytest.approx(50.0 + 25.0)
-
-    def test_empty_trial_rejected(self):
-        with pytest.raises(ValueError):
-            EvalTrial(datasets=[])
 
 
 class TestHumanEvalProfile:

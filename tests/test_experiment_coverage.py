@@ -107,6 +107,50 @@ class TestStyleGates:
                 missing.append(str(path))
         assert not missing, missing
 
+    def test_no_unused_imports(self):
+        """Every name an import binds is read in its module (F401).
+
+        A read is a name, the root of an attribute chain, or a name
+        inside a string annotation (``"FatTreeConfig"``).  Package
+        ``__init__.py`` files are skipped: their imports re-export.
+        """
+        import ast
+
+        offenders = []
+        for path in self.iter_files():
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            bound: dict[str, int] = {}
+            annotations = []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import) or (
+                        isinstance(node, ast.ImportFrom)
+                        and node.module != "__future__"):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        bound[name] = node.lineno
+                elif isinstance(node, ast.arg) and node.annotation:
+                    annotations.append(node.annotation)
+                elif isinstance(node, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)) \
+                        and node.returns:
+                    annotations.append(node.returns)
+                elif isinstance(node, ast.AnnAssign):
+                    annotations.append(node.annotation)
+            trees = [tree] + [
+                ast.parse(node.value, mode="eval")
+                for annotation in annotations
+                for node in ast.walk(annotation)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)]
+            read = {node.id for each in trees for node in ast.walk(each)
+                    if isinstance(node, ast.Name)}
+            offenders += [f"{path}:{lineno} {name}"
+                          for name, lineno in bound.items()
+                          if name not in read]
+        assert not offenders, offenders
+
 
 class TestExamplesCompile:
     """Every example must at least import-compile (full runs are the

@@ -91,9 +91,7 @@ def test_oracle_run_went_through_the_oracles(request, both_paths):
     Every scenario orders its queue, runs scheduling rounds, checks
     the invariants after every engine event and diagnoses at least one
     failure log; only the fabric storms look up link health, and five
-    scenarios ask the LLM.  (No bundled scenario calls the
-    water-filling, so its equivalence rests on the property tests in
-    ``tests/test_network_properties.py``.)
+    scenarios ask the LLM.
     """
     scenario = request.node.callspec.params["both_paths"]
     oracle = both_paths[1]

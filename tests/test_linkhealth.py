@@ -109,7 +109,7 @@ class TestSwitchDown:
 class TestZeroDurationWindows:
     """Zero-duration chaos faults must be strict no-ops (boundary
     regression: a degenerate ``[t, t)`` window must never leak into
-    timelines, memo state, or ``last_end``)."""
+    timelines or ``last_end``)."""
 
     def test_link_down_zero_duration_is_noop(self):
         health = LinkHealth()
